@@ -116,26 +116,21 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _iter_queries(args, schema):
+def _iter_queries(args):
     if not args.query and not args.queries:
         raise _UsageError("provide --query or --queries")
-    line_no = 0
-    for raw in args.query:
-        line_no += 1
+    for line_no, raw in enumerate(args.query, start=1):
         rows = list(csv.reader(io.StringIO(raw)))
-        cells = rows[0] if rows else []
-        yield line_no, cells
+        yield line_no, rows[0] if rows else []
     if args.queries:
         text = dataset._read_text(args.queries)
-        for k, cells in enumerate(csv.reader(io.StringIO(text)), start=1):
-            line_no += 1
-            yield k, cells
+        yield from enumerate(csv.reader(io.StringIO(text)), start=1)
 
 
 def cmd_predict(args) -> int:
     model = predictors.load_model(args.model)
     schema = model.table.schema
-    for line_no, cells in _iter_queries(args, schema):
+    for line_no, cells in _iter_queries(args):
         try:
             query = dataset.validate_query(cells, schema)
         except FieldpredError as exc:

@@ -65,8 +65,8 @@ class AttributeSpec:
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, CONTINUOUS):
             raise DataError(f"unknown attribute kind {self.kind!r} for {self.name!r}")
-        if not _is_real(self.weight) or self.weight < 0:
-            raise DataError(f"attribute {self.name!r} needs a weight >= 0")
+        if not _is_real(self.weight) or not math.isfinite(self.weight) or self.weight < 0:
+            raise DataError(f"attribute {self.name!r} needs a finite weight >= 0")
         if self.categories is not None:
             if self.kind != CATEGORICAL:
                 raise DataError(f"categories given for continuous attribute {self.name!r}")
@@ -77,8 +77,8 @@ class AttributeSpec:
         if self.range_width is not None:
             if self.kind != CONTINUOUS:
                 raise DataError(f"range_width given for categorical attribute {self.name!r}")
-            if not _is_real(self.range_width) or self.range_width < 0:
-                raise DataError(f"attribute {self.name!r} needs a range_width >= 0")
+            if not _is_real(self.range_width) or not math.isfinite(self.range_width) or self.range_width < 0:
+                raise DataError(f"attribute {self.name!r} needs a finite range_width >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,16 +151,16 @@ class TrainingTable:
                 raise DataError(f"entry {i} has outcome index {o} outside 0..{n_labels - 1}")
 
         self._validate_cells(schema, rows)
-        widths = _column_widths(schema, rows)
-        attrs = tuple(
-            replace(spec, range_width=widths[j]) if spec.kind == CONTINUOUS else spec
-            for j, spec in enumerate(schema.attributes)
-        )
-        self.schema = Schema(attrs, schema.outcome_labels)
+        self.schema = schema
         self.values = tuple(rows)
         self.outcomes = tuple(outcome_list)
-        self.total_weight = self.schema.total_weight
         self._encode()
+        attrs = tuple(
+            replace(spec, range_width=float(column.max() - column.min())) if spec.kind == CONTINUOUS else spec
+            for spec, column in zip(schema.attributes, self._col_data)
+        )
+        self.schema = Schema(attrs, schema.outcome_labels)
+        self.total_weight = self.schema.total_weight
 
     @staticmethod
     def _validate_cells(schema: Schema, rows: list[tuple]) -> None:
@@ -184,26 +184,37 @@ class TrainingTable:
                         )
 
     def _encode(self) -> None:
+        """Code every cell as a float and collapse identical rows.
+
+        ``_distinct_of[i]`` is entry i's distinct row, ``_distinct_entry[u]``
+        an entry holding row u. Distinct rows are kept in lexicographic order
+        of their coded cells, which does not depend on the order of entries.
+        """
         m = len(self.values)
-        self._outcome_idx = np.asarray(self.outcomes, dtype=np.intp)
-        self._col_data: list[np.ndarray] = []
         self._col_vocab: list[dict | None] = []
+        self._col_data: list[np.ndarray] = []
+        self._distinct_of = np.zeros(m, dtype=np.intp)
         for j, spec in enumerate(self.schema.attributes):
             column = [row[j] for row in self.values]
             if spec.kind == CATEGORICAL:
-                if spec.categories is not None:
-                    vocab = {c: k for k, c in enumerate(spec.categories)}
-                else:
-                    vocab = {}
-                    for cell in column:
-                        if cell not in vocab:
-                            vocab[cell] = len(vocab)
-                codes = np.fromiter((vocab[c] for c in column), dtype=np.intp, count=m)
-                self._col_data.append(codes)
-                self._col_vocab.append(vocab)
+                categories = spec.categories if spec.categories is not None else dict.fromkeys(column)
+                vocab = {c: k for k, c in enumerate(categories)}
+                data = np.fromiter((vocab[c] for c in column), dtype=np.float64, count=m)
             else:
-                self._col_data.append(np.asarray(column, dtype=np.float64))
-                self._col_vocab.append(None)
+                vocab, data = None, np.asarray(column, dtype=np.float64)
+            self._col_vocab.append(vocab)
+            self._col_data.append(data)
+            # Renumber the rows by the columns so far; numbers stay below M.
+            codes = np.unique(data, return_inverse=True)[1]
+            self._distinct_of = np.unique(self._distinct_of * (codes.max() + 1) + codes, return_inverse=True)[1]
+        u, k = int(self._distinct_of.max()) + 1, len(self.schema.outcome_labels)
+        self._distinct_entry = np.empty(u, dtype=np.intp)
+        self._distinct_entry[self._distinct_of] = np.arange(m)
+        for j, data in enumerate(self._col_data):
+            self._col_data[j] = data[self._distinct_entry]
+        # Each entry's flat (distinct row, outcome) cell of the U x K count matrix.
+        self._vote_cell = self._distinct_of * k + np.asarray(self.outcomes, dtype=np.intp)
+        self._label_counts = np.bincount(self._vote_cell, minlength=u * k).reshape(u, k).astype(np.float64)
 
     @property
     def n_entries(self) -> int:
@@ -232,17 +243,6 @@ class TrainingTable:
                     raise DataError(f"query attribute {spec.name!r}: expected a finite real")
                 encoded.append(float(cell))
         return encoded
-
-
-def _column_widths(schema: Schema, rows: list[tuple]) -> list[float | None]:
-    widths: list[float | None] = []
-    for j, spec in enumerate(schema.attributes):
-        if spec.kind != CONTINUOUS:
-            widths.append(None)
-            continue
-        column = [row[j] for row in rows]
-        widths.append(float(max(column) - min(column)))
-    return widths
 
 
 def column_ranges(table: TrainingTable) -> dict[str, float]:

@@ -242,11 +242,14 @@ def evaluate_accuracy(model: FittedModel, test_table: TrainingTable) -> float:
     for label in test_schema.outcome_labels:
         if label not in known:
             raise HarnessError(f"test outcome label {label!r} is unknown to the model")
+    # predict is a pure function of the query, so each distinct test row is
+    # predicted once and counts for every entry holding it.
+    labels = test_schema.outcome_labels
     correct = 0
-    for row, outcome in zip(test_table.values, test_table.outcomes):
-        prediction = predict(model, Query(row))
-        if prediction.winner == test_schema.outcome_labels[outcome]:
-            correct += 1
+    for u, entry in enumerate(test_table._distinct_entry):
+        winner = predict(model, Query(test_table.values[entry])).winner
+        if winner in labels:
+            correct += int(test_table._label_counts[u, labels.index(winner)])
     return correct / test_table.n_entries
 
 

@@ -117,6 +117,10 @@ class Kernel:
             raise KernelError("kernel needs n_entries >= 1")
         if self.total_weight <= 0:
             raise KernelError("kernel needs total_weight > 0")
+        for name in ("mld", "adrez", "scale"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, float)) and np.isfinite(value)):
+                raise KernelError(f"kernel {name} must be a finite real, got {value!r}")
         if self.scale <= 0:
             raise KernelError("kernel scale must be positive")
         if self.kind in _LEAD_KINDS and self.mld <= 1:

@@ -1,27 +1,27 @@
 """Lazy predictors over a training table.
 
-Three decision rules share the same match-scoring front end:
+Every decision rule reduces one scoring core: the matching distance from
+the query to each of the table's U distinct rows, and the U x K matrix
+``FittedModel.votes`` of label counts per row (dcf-weighted with density).
 
-* ``delanga``: keep only the entries at the smallest matching distance,
-  take the majority outcome, and break count ties by walking outward
-  through successive distance levels;
-* ``rasturnat``: every entry votes with its kernel-transformed distance,
-  votes are summed per outcome, the largest field wins;
-* ``nearest``: the minimal-distance entry decides (majority on ties),
+* ``delanga``: majority among the rows at the smallest distance, count
+  ties broken by walking outward through successive distance levels;
+* ``rasturnat``: ``kernel(dm) @ votes``, the largest field wins;
+* ``nearest``: majority at the smallest distance, ties to label order;
   kept as a familiar baseline.
 
-Scores are accumulated in fixed row order, and near-equal outcome scores
-(within REL_TIE_TOL of the leader) count as ties resolved by label order.
-The band is far above float accumulation noise and far below any genuine
-score gap, which keeps winners stable under kernel scaling and under
-reorderings of mathematically tied vote sets.
+Outcome scores within REL_TIE_TOL of the leader count as ties resolved by
+label order. A tie in that band is re-scored per distance level, so labels
+with equal counts at every level get bitwise-equal fields and results do
+not depend on row order. The band is far above float accumulation noise
+and far below any genuine score gap.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -57,8 +57,8 @@ class DensityModel:
     dcf: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.tss <= 0) or self.sts <= 0:
-            raise PredictorError("density scores must be positive")
+        if not (self.sts > 0 and all(np.all(np.isfinite(a) & (a > 0)) for a in (self.tss, self.dcf))):
+            raise PredictorError("density scores must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +86,15 @@ class FittedModel:
     kernel: Kernel | None = None
     density: DensityModel | None = None
     trace_enabled: bool = False
+    #: U x K votes per distinct row and label: counts, or dcf sums with density.
+    votes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        votes = self.table._label_counts
+        if self.density is not None:
+            votes = np.bincount(self.table._vote_cell, weights=self.density.dcf,
+                                minlength=votes.size).reshape(votes.shape)
+        object.__setattr__(self, "votes", votes)
 
 
 def fit(
@@ -136,44 +145,56 @@ def _select_winner(scores: np.ndarray) -> tuple[int, int]:
     return int(tied[0]), (1 if tied.size > 1 else 0)
 
 
-def _champion_counts(table: TrainingTable, dm: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    d_min = float(dm.min())
-    champions = np.flatnonzero(dm == d_min)
-    counts = np.bincount(
-        table._outcome_idx[champions], minlength=len(table.schema.outcome_labels)
-    )
-    return d_min, champions, counts
+def _distances(model: FittedModel, query: Query, kind: str) -> np.ndarray:
+    if model.predictor_kind != kind:
+        raise PredictorError(f"model was fitted for {model.predictor_kind}, not {kind}")
+    return match_vectors(query, model.table)[1]
+
+
+def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct distances in increasing order, and the votes per label at each."""
+    levels, level_of = np.unique(dm, return_inverse=True)
+    per_level = np.zeros((levels.size, votes.shape[1]))
+    np.add.at(per_level, level_of, votes)
+    return levels, per_level
+
+
+def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int,
+                trace: PredictionTrace | None) -> Prediction:
+    labels = model.table.schema.outcome_labels
+    total = tos.sum()
+    scores = {label: float(tos[k]) for k, label in enumerate(labels)}
+    likelihoods = {label: float(tos[k] / total) for k, label in enumerate(labels)}
+    return Prediction(scores, likelihoods, winner, tie_depth, trace)
 
 
 def predict_delanga(model: FittedModel, query: Query) -> Prediction:
     """Majority over the minimal-distance entries, ties walked outward."""
-    if model.predictor_kind != "delanga":
-        raise PredictorError(f"model was fitted for {model.predictor_kind}, not delanga")
-    table = model.table
-    labels = table.schema.outcome_labels
-    _, dm = match_vectors(query, table)
-    d_min, champions, counts = _champion_counts(table, dm)
+    return _predict_champions(model, query, "delanga")
 
-    best = counts.max()
-    tied = np.flatnonzero(counts == best)
-    if tied.size == 1:
-        winner = labels[int(tied[0])]
-        depth = 0
-    else:
-        levels, level_of = np.unique(dm, return_inverse=True)
-        n_labels = len(labels)
-        flat = np.bincount(
-            level_of * n_labels + table._outcome_idx, minlength=levels.size * n_labels
-        )
-        winner, depth = backtrack_tie_break(flat.reshape(levels.size, n_labels), labels)
 
-    size = float(champions.size)
-    likelihoods = {label: float(counts[k] / size) for k, label in enumerate(labels)}
-    scores = {label: float(counts[k]) for k, label in enumerate(labels)}
+def predict_nearest(model: FittedModel, query: Query) -> Prediction:
+    """Outcome of the closest entry; distance ties go to the set majority."""
+    return _predict_champions(model, query, "nearest")
+
+
+def _predict_champions(model: FittedModel, query: Query, kind: str) -> Prediction:
+    """Label counts at the minimal distance; count ties go to delanga's level
+    walk, or to label order with tie depth 1 for nearest."""
+    dm = _distances(model, query, kind)
+    d_min = float(dm.min())
+    at_min = dm == d_min
+    counts = model.votes[at_min].sum(axis=0)
+    tied = np.flatnonzero(counts == counts.max())
+    labels = model.table.schema.outcome_labels
+    winner, depth = labels[int(tied[0])], int(tied.size > 1)
+    if depth and kind == "delanga":
+        winner, depth = backtrack_tie_break(_level_table(dm, model.votes)[1], labels)
     trace = None
     if model.trace_enabled:
-        trace = PredictionTrace(champion_distance=d_min, champion_rows=tuple(int(i) for i in champions))
-    return Prediction(scores, likelihoods, winner, depth, trace)
+        rows = np.flatnonzero(at_min[model.table._distinct_of])
+        trace = PredictionTrace(champion_distance=d_min, champion_rows=tuple(int(i) for i in rows))
+    return _prediction(model, counts, winner, depth, trace)
 
 
 def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[str]) -> tuple[str, int]:
@@ -186,80 +207,58 @@ def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[
     run out; then the earliest surviving label wins. Returns the winner
     and the number of levels examined beyond level 0.
     """
-    first = np.asarray(level_counts[0])
-    best = first.max()
-    tied = [int(k) for k in np.flatnonzero(first == best)]
-    if len(tied) < 2:
+    counts = np.asarray(level_counts)
+    tied = np.flatnonzero(counts[0] == counts[0].max())
+    if tied.size < 2:
         raise PredictorError("backtrack_tie_break requires a tie at level 0")
     depth = 0
-    for level in range(1, len(level_counts)):
+    while tied.size > 1 and depth + 1 < len(counts):
         depth += 1
-        row = level_counts[level]
-        sub_best = max(row[k] for k in tied)
-        tied = [k for k in tied if row[k] == sub_best]
-        if len(tied) == 1:
-            return labels[tied[0]], depth
-    return labels[min(tied)], depth
+        row = counts[depth, tied]
+        tied = tied[row == row.max()]
+    return labels[int(tied[0])], depth
 
 
 def predict_rasturnat(model: FittedModel, query: Query) -> Prediction:
-    """Sum kernel-transformed entry scores per outcome; the largest field wins."""
-    if model.predictor_kind != "rasturnat":
-        raise PredictorError(f"model was fitted for {model.predictor_kind}, not rasturnat")
-    table = model.table
-    labels = table.schema.outcome_labels
-    _, dm = match_vectors(query, table)
+    """Sum kernel-transformed row scores per outcome; the largest field wins."""
+    dm = _distances(model, query, "rasturnat")
     ets = model.kernel.evaluate(dm)
-    if model.density is not None:
-        ets = ets * model.density.dcf
-    # bincount accumulates in row order, matching a literal per-entry loop.
-    tos = np.bincount(table._outcome_idx, weights=ets, minlength=len(labels))
-    total = float(tos.sum())
-    winner_idx, tie_depth = _select_winner(tos)
-    scores = {label: float(tos[k]) for k, label in enumerate(labels)}
-    likelihoods = {label: float(tos[k] / total) for k, label in enumerate(labels)}
-    trace = PredictionTrace(ets=ets) if model.trace_enabled else None
-    return Prediction(scores, likelihoods, labels[winner_idx], tie_depth, trace)
-
-
-def predict_nearest(model: FittedModel, query: Query) -> Prediction:
-    """Outcome of the closest entry; distance ties go to the set majority."""
-    if model.predictor_kind != "nearest":
-        raise PredictorError(f"model was fitted for {model.predictor_kind}, not nearest")
-    table = model.table
-    labels = table.schema.outcome_labels
-    _, dm = match_vectors(query, table)
-    d_min, champions, counts = _champion_counts(table, dm)
-    best = counts.max()
-    tied = np.flatnonzero(counts == best)
-    winner = labels[int(tied[0])]
-    size = float(champions.size)
-    likelihoods = {label: float(counts[k] / size) for k, label in enumerate(labels)}
-    scores = {label: float(counts[k]) for k, label in enumerate(labels)}
+    tos = ets @ model.votes
+    winner, tie = _select_winner(tos)
+    if tie:
+        # Sums over rows in different orders can split equal fields by an
+        # ulp. Per level, labels with equal counts get equal terms, and the
+        # row-wise sum adds every column in the same order.
+        levels, per_level = _level_table(dm, model.votes)
+        tos = (model.kernel.evaluate(levels)[:, None] * per_level).sum(axis=0)
+        winner, tie = _select_winner(tos)
     trace = None
     if model.trace_enabled:
-        trace = PredictionTrace(champion_distance=d_min, champion_rows=tuple(int(i) for i in champions))
-    return Prediction(scores, likelihoods, winner, 1 if tied.size > 1 else 0, trace)
+        dcf = model.density.dcf if model.density is not None else 1.0
+        trace = PredictionTrace(ets=ets[model.table._distinct_of] * dcf)
+    return _prediction(model, tos, model.table.schema.outcome_labels[winner], tie, trace)
 
 
 def compute_density_model(table: TrainingTable, kernel: Kernel, include_self: bool = True) -> DensityModel:
-    """Score every entry against the whole table and derive dcf factors.
+    """Score every distinct row against the whole table and derive dcf factors.
 
-    O(M^2 * N); meant for tables where entry crowding actually matters,
-    not for bulk experiments. The self term is included by default
-    (``include_self=False`` exists for experimentation and needs M >= 2).
+    O(U^2 * N) for U distinct rows; identical entries share one tss. The
+    self term is included by default (``include_self=False`` exists for
+    experimentation and needs M >= 2).
     """
     m = table.n_entries
     if not include_self and m < 2:
         raise PredictorError("excluding the self term needs at least two entries")
-    tss = np.empty(m, dtype=np.float64)
-    for j in range(m):
-        _, dm = match_vectors(Query(table.values[j]), table)
+    multiplicity = table._label_counts.sum(axis=1)
+    row_tss = np.empty(multiplicity.size, dtype=np.float64)
+    for u, entry in enumerate(table._distinct_entry):
+        _, dm = match_vectors(Query(table.values[entry]), table)
         ets = kernel.evaluate(dm)
-        total = math.fsum(ets)
+        total = math.fsum(ets * multiplicity)
         if not include_self:
-            total -= float(ets[j])
-        tss[j] = total
+            total -= float(ets[u])
+        row_tss[u] = total
+    tss = row_tss[table._distinct_of]
     sts = math.fsum(tss)
     stavg = sts / m
     # Algebraically stavg / tss, but dividing the fsum by m * tss keeps
@@ -295,27 +294,35 @@ def model_from_dict(payload: dict) -> FittedModel:
         raise PredictorError("model document must be a JSON object")
     if payload.get("version") != MODEL_FILE_VERSION:
         raise PredictorError(f"unsupported model file version {payload.get('version')!r}")
-    schema = schema_from_dict(payload["schema"])
-    values = [
-        [cell if isinstance(cell, str) else float(cell) for cell in row]
-        for row in payload["values"]
-    ]
-    table = TrainingTable(schema, values, payload["outcomes"])
-    kernel = None
-    if payload.get("kernel") is not None:
-        kernel = kernel_from_dict(payload["kernel"], table.n_entries, table.total_weight)
-    density = None
-    if payload.get("density") is not None:
-        d = payload["density"]
-        density = DensityModel(
-            tss=np.asarray(d["tss"], dtype=np.float64),
-            sts=float(d["sts"]),
-            stavg=float(d["stavg"]),
-            dcf=np.asarray(d["dcf"], dtype=np.float64),
-        )
+    try:
+        schema = schema_from_dict(payload["schema"])
+        values = [
+            [cell if isinstance(cell, str) else float(cell) for cell in row]
+            for row in payload["values"]
+        ]
+        table = TrainingTable(schema, values, payload["outcomes"])
+        predictor = payload["predictor"]
+        kernel = None
+        if payload.get("kernel") is not None:
+            kernel = kernel_from_dict(payload["kernel"], table.n_entries, table.total_weight)
+        density = None
+        if payload.get("density") is not None:
+            d = payload["density"]
+            density = DensityModel(
+                tss=np.asarray(d["tss"], dtype=np.float64),
+                sts=float(d["sts"]),
+                stavg=float(d["stavg"]),
+                dcf=np.asarray(d["dcf"], dtype=np.float64),
+            )
+    except KeyError as exc:
+        raise PredictorError(f"model file lacks the required key {exc}") from None
+    if predictor not in PREDICTOR_KINDS or (predictor == "rasturnat") != (kernel is not None):
+        raise PredictorError(f"model file holds predictor {predictor!r} with kernel {payload.get('kernel')!r}")
+    if density is not None and not density.tss.shape == density.dcf.shape == (table.n_entries,):
+        raise PredictorError(f"density arrays must hold one value per entry ({table.n_entries})")
     return FittedModel(
         table,
-        payload["predictor"],
+        predictor,
         kernel=kernel,
         density=density,
         trace_enabled=bool(payload.get("trace", False)),

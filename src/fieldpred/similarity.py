@@ -61,24 +61,21 @@ def entry_match_score(query: Query, table: TrainingTable, row: int, trace: bool 
 
 
 def match_vectors(query: Query, table: TrainingTable) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (ems, dm) over all entries.
+    """Vectorized (ems, dm) over the table's U distinct rows.
 
-    Accumulates columns in schema order with the same elementary operations
-    as the scalar path, so the two agree bit for bit; a full match therefore
-    sits at distance exactly 0.0.
+    Entry i's scores sit at index ``table._distinct_of[i]``. Columns are
+    accumulated in schema order with the same elementary operations as the
+    scalar path, so the two agree bit for bit; a full match therefore sits
+    at distance exactly 0.0.
     """
     encoded = table.encode_query(query)
-    ems = np.zeros(table.n_entries, dtype=np.float64)
+    ems = np.zeros(table._distinct_entry.size, dtype=np.float64)
     for j, spec in enumerate(table.schema.attributes):
         column = table._col_data[j]
-        if spec.kind == CATEGORICAL:
+        if spec.kind == CATEGORICAL or spec.range_width == 0.0:
             cms = (column == encoded[j]).astype(np.float64)
         else:
-            width = spec.range_width
-            if width == 0.0:
-                cms = (column == encoded[j]).astype(np.float64)
-            else:
-                cms = np.clip(1.0 - np.abs(column - encoded[j]) / width, 0.0, 1.0)
+            cms = np.clip(1.0 - np.abs(column - encoded[j]) / spec.range_width, 0.0, 1.0)
         ems += spec.weight * cms
     dm = np.maximum(table.total_weight - ems, 0.0)
     return ems, dm
@@ -88,5 +85,6 @@ def all_match_scores(query: Query, table: TrainingTable, trace: bool = False) ->
     """MatchScores for every entry, in row order."""
     ems, dm = match_vectors(query, table)
     if not trace:
-        return [MatchScores(ems=float(e), dm=float(d)) for e, d in zip(ems, dm)]
+        rows = table._distinct_of
+        return [MatchScores(ems=float(e), dm=float(d)) for e, d in zip(ems[rows], dm[rows])]
     return [entry_match_score(query, table, i, trace=True) for i in range(table.n_entries)]

@@ -102,6 +102,23 @@ class TestFit:
         assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda payload: payload["kernel"].update(mld="nan"), id="nan-mld"),
+    pytest.param(lambda payload: payload.pop("schema"), id="no-schema"),
+    pytest.param(lambda payload: payload["schema"]["attributes"][0].update(weight="nan"), id="nan-weight"),
+])
+def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    assert main(["fit", "--train", train_file, "--predictor", "rasturnat",
+                 "--kernel", "newton", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(path), "--query", "red,1.5"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestPredict:
     @pytest.fixture
     def model_file(self, train_file, tmp_path):

@@ -35,7 +35,7 @@ from fieldpred.harness import (
 )
 from fieldpred.kernels import KERNEL_KINDS
 
-from .util import random_categorical_instance
+from .util import per_row_accuracy, random_categorical_instance
 
 
 def tiny_spec(seed=9, p_plus=0.8):
@@ -244,6 +244,30 @@ class TestEvaluateAccuracy:
         )
         with pytest.raises(HarnessError, match="unknown to the model"):
             evaluate_accuracy(model, generate_synthetic(foreign, 5, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluate_accuracy_matches_per_row_oracle(seed):
+    # Test rows repeat, carry categories the model never saw ("3"), and
+    # list the labels in reverse, so the per-distinct-row tally is checked
+    # against one prediction per row.
+    from fieldpred import Schema, TrainingTable
+
+    rng = np.random.default_rng(seed)
+    train, _ = random_categorical_instance(rng)
+    labels = train.schema.outcome_labels
+    test_schema = Schema(train.schema.attributes, labels[::-1])
+    n = int(rng.integers(1, 60))
+    rows = [tuple(str(v) for v in rng.integers(0, 4, train.n_attributes)) for _ in range(n // 3 + 1)]
+    test = TrainingTable(
+        test_schema,
+        [rows[int(rng.integers(len(rows)))] for _ in range(n)],
+        rng.integers(0, len(labels), n).tolist(),
+    )
+    for predictor, kernel in (("delanga", None), ("nearest", None), ("rasturnat", "bridge")):
+        model = fit(train, predictor, kernel)
+        assert evaluate_accuracy(model, test) == per_row_accuracy(model, test)
 
 
 class TestRunConvergence:

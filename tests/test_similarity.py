@@ -107,10 +107,10 @@ def test_vector_path_bit_identical_to_scalar(seed):
     rng = np.random.default_rng(seed)
     table, query = random_categorical_instance(rng)
     ems_vec, dm_vec = match_vectors(query, table)
-    for i in range(table.n_entries):
+    for i, u in enumerate(table._distinct_of):
         scalar = entry_match_score(query, table, i)
-        assert ems_vec[i] == scalar.ems
-        assert dm_vec[i] == scalar.dm
+        assert ems_vec[u] == scalar.ems
+        assert dm_vec[u] == scalar.dm
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,10 +119,10 @@ def test_vector_path_bit_identical_continuous(seed):
     rng = np.random.default_rng(seed)
     table, query = random_continuous_instance(rng)
     ems_vec, dm_vec = match_vectors(query, table)
-    for i in range(table.n_entries):
+    for i, u in enumerate(table._distinct_of):
         scalar = entry_match_score(query, table, i)
-        assert ems_vec[i] == scalar.ems
-        assert dm_vec[i] == scalar.dm
+        assert ems_vec[u] == scalar.ems
+        assert dm_vec[u] == scalar.dm
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,8 +131,8 @@ def test_distance_matches_brute_oracle(seed):
     rng = np.random.default_rng(seed)
     table, query = random_categorical_instance(rng)
     _, dm = match_vectors(query, table)
-    for i in range(table.n_entries):
-        assert dm[i] == brute_distance(query, table, i)
+    for i, u in enumerate(table._distinct_of):
+        assert dm[u] == brute_distance(query, table, i)
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,9 +157,9 @@ def test_unit_weight_categorical_distance_is_hamming(seed):
     rng = np.random.default_rng(seed)
     table, query = random_categorical_instance(rng)
     _, dm = match_vectors(query, table)
-    for i, row in enumerate(table.values):
+    for u, row in zip(table._distinct_of, table.values):
         hamming = sum(1 for q, t in zip(query.values, row) if q != t)
-        assert dm[i] == float(hamming)
+        assert dm[u] == float(hamming)
 
 
 @settings(max_examples=100, deadline=None)

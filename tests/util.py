@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from fieldpred import AttributeSpec, Query, Schema, TrainingTable
+from fieldpred import AttributeSpec, Query, Schema, TrainingTable, predict
 
 LABEL_POOL = ("A", "B", "C")
 
@@ -100,3 +100,13 @@ def brute_one_nn(table: TrainingTable, query: Query) -> str:
     dists = [brute_distance(query, table, i) for i in range(table.n_entries)]
     best = min(range(table.n_entries), key=lambda i: dists[i])
     return table.schema.outcome_labels[table.outcomes[best]]
+
+
+def per_row_accuracy(model, test_table: TrainingTable) -> float:
+    """Accuracy with one prediction per test entry, in row order."""
+    labels = test_table.schema.outcome_labels
+    correct = sum(
+        predict(model, Query(row)).winner == labels[outcome]
+        for row, outcome in zip(test_table.values, test_table.outcomes)
+    )
+    return correct / test_table.n_entries
