@@ -27,8 +27,7 @@ import numpy as np
 
 from .dataset import CATEGORICAL, AttributeSpec, Query, Schema, TrainingTable
 from .errors import HarnessError
-from .kernels import Kernel
-from .predictors import REL_TIE_TOL, DensityModel, FittedModel, Prediction, fit, predict
+from .predictors import FittedModel, fit, predict
 
 SPEC_FILE_VERSION = 1
 
@@ -190,9 +189,15 @@ def generate_synthetic(spec: SyntheticSpec, m: int, stream_id: int) -> TrainingT
     u = rng.random(m)
     cdf = _outcome_cdf(spec)
     outcomes = np.argmax(u[:, None] < cdf[idx], axis=1)
-    tuples = spec.tuples
-    values = [tuples[i] for i in idx]
-    return TrainingTable(spec.schema(), values, outcomes.tolist())
+    return _tuple_table(spec, idx, outcomes)
+
+
+def _tuple_table(spec: SyntheticSpec, idx: np.ndarray, outcomes: np.ndarray) -> TrainingTable:
+    """A table from tuple indices: attribute j's code is tuple digit j."""
+    schema = spec.schema()
+    vocabs = [{c: k for k, c in enumerate(a.categories)} for a in schema.attributes]
+    columns = list(np.unravel_index(idx, spec.cardinalities))
+    return TrainingTable._from_columns(schema, columns, vocabs, outcomes.astype(np.intp))
 
 
 def generate_point_test(spec: SyntheticSpec, tuple_values: Sequence[str], n: int, stream_id: int) -> TrainingTable:
@@ -206,8 +211,7 @@ def generate_point_test(spec: SyntheticSpec, tuple_values: Sequence[str], n: int
     u = rng.random(n)
     cdf = _outcome_cdf(spec)[i]
     outcomes = np.argmax(u[:, None] < cdf[None, :], axis=1)
-    values = [spec.tuples[i]] * n
-    return TrainingTable(spec.schema(), values, outcomes.tolist())
+    return _tuple_table(spec, np.full(n, i), outcomes)
 
 
 def bayes_optimal(spec: SyntheticSpec) -> tuple[Callable[[Sequence[str]], str], float]:
@@ -246,8 +250,8 @@ def evaluate_accuracy(model: FittedModel, test_table: TrainingTable) -> float:
     # predicted once and counts for every entry holding it.
     labels = test_schema.outcome_labels
     correct = 0
-    for u, entry in enumerate(test_table._distinct_entry):
-        winner = predict(model, Query(test_table.values[entry])).winner
+    for u, row in enumerate(test_table._distinct_rows):
+        winner = predict(model, Query(row)).winner
         if winner in labels:
             correct += int(test_table._label_counts[u, labels.index(winner)])
     return correct / test_table.n_entries
@@ -490,94 +494,3 @@ def counterexample_spec(seed: int = COUNTEREXAMPLE_SEED) -> SyntheticSpec:
             distribution[t] = 0.69 / 20
             conditionals[t] = [0.3, 0.7]
     return make_spec(cards, ("A", "B"), seed, distribution, conditionals)
-
-
-def naive_reference_predict(
-    table: TrainingTable,
-    query: Query,
-    kernel: Kernel,
-    density: DensityModel | None = None,
-) -> Prediction:
-    """Field-superposition prediction as the most literal possible loop.
-
-    Independent of the production path on purpose: per-cell match scores,
-    per-entry sums, scalar kernel formulas, and a dict accumulator, all in
-    plain Python. Used as the oracle the vectorized rasturnat is checked
-    against.
-    """
-    labels = table.schema.outcome_labels
-    tos = {label: 0.0 for label in labels}
-    total_weight = table.total_weight
-    for i in range(table.n_entries):
-        score = 0.0
-        for j, spec in enumerate(table.schema.attributes):
-            q, t = query.values[j], table.values[i][j]
-            if spec.kind == CATEGORICAL:
-                cms = 1.0 if q == t else 0.0
-            else:
-                width = spec.range_width
-                if width == 0.0:
-                    cms = 1.0 if q == t else 0.0
-                else:
-                    cms = 1.0 - abs(q - t) / width
-                    if cms < 0.0:
-                        cms = 0.0
-                    elif cms > 1.0:
-                        cms = 1.0
-            score += spec.weight * cms
-        d = max(total_weight - score, 0.0)
-        ets = _naive_kernel_value(kernel, d)
-        if density is not None:
-            ets = float(density.dcf[i]) * ets
-        tos[labels[table.outcomes[i]]] += ets
-
-    total = math.fsum(tos.values())
-    best = max(tos.values())
-    tied = [label for label in labels if tos[label] >= best - best * REL_TIE_TOL]
-    winner = tied[0]
-    likelihoods = {label: tos[label] / total for label in labels}
-    return Prediction(dict(tos), likelihoods, winner, 1 if len(tied) > 1 else 0, None)
-
-
-def _naive_kernel_value(kernel: Kernel, d: float) -> float:
-    """Scalar kernel formulas written out independently of Kernel.evaluate."""
-    kind = kernel.kind
-    if kind == "pow_2":
-        value = 2.0 ** (-d)
-    elif kind == "pow_e":
-        value = math.exp(-d)
-    elif kind == "gauss":
-        value = math.exp(-(d * d))
-    elif kind == "bridge":
-        value = kernel.mld ** (-d)
-    elif kind == "spliced":
-        if d == 0.0:
-            value = kernel.mld * _naive_kernel_value(kernel.base, 1.0)
-        else:
-            value = _naive_kernel_value(kernel.base, d)
-        return value * kernel.scale
-    elif kind == "adj_pow_2":
-        value = 1.0 / (2.0**d + kernel.adrez)
-    elif kind == "inv_additive_residue":
-        if kernel.grow_kind == "pow_2":
-            g = 2.0**d
-        elif kernel.grow_kind == "pow_e":
-            g = math.exp(d)
-        elif kernel.grow_kind == "square":
-            g = d * d
-        else:
-            g = d
-        value = 1.0 / (kernel.adrez + g)
-    elif kind == "newton":
-        value = 1.0 / (1.0 / kernel.mld + d * d)
-    elif kind in ("decay_a", "decay_b"):
-        power = 1 if kind == "decay_a" else 2
-        whole = int(math.floor(d))
-        h = 0.0
-        for i in range(1, whole + 1):
-            h += 1.0 / i**power
-        h += (d - whole) / (whole + 1) ** power
-        value = kernel.mld ** (-h)
-    else:  # pragma: no cover
-        raise HarnessError(f"unknown kernel kind {kind!r}")
-    return value * kernel.scale

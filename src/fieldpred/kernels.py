@@ -322,13 +322,17 @@ def kernel_from_dict(payload: dict, n_entries: int, total_weight: float) -> Kern
     base = None
     if payload.get("base") is not None:
         base = kernel_from_dict(payload["base"], n_entries, total_weight)
+    try:
+        mld, scale = float(payload["mld"]), float(payload.get("scale", 1.0))
+    except (TypeError, ValueError, OverflowError):
+        raise KernelError("kernel mld and scale must be finite reals") from None
     return Kernel(
         kind=payload["kind"],
         n_entries=int(n_entries),
         total_weight=float(total_weight),
-        mld=float(payload["mld"]),
+        mld=mld,
         adrez=payload.get("adrez"),
         grow_kind=payload.get("grow_kind"),
         base=base,
-        scale=float(payload.get("scale", 1.0)),
+        scale=scale,
     )

@@ -27,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Query, TrainingTable, schema_from_dict, schema_to_dict
+from .dataset import CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real, schema_from_dict, schema_to_dict
 from .errors import PredictorError
 from .kernels import Kernel, kernel_from_dict, kernel_to_dict, make_kernel
-from .similarity import match_vectors
+from .similarity import match_encoded, match_vectors
 
 PREDICTOR_KINDS = ("delanga", "rasturnat", "nearest")
 
@@ -38,7 +38,7 @@ PREDICTOR_KINDS = ("delanga", "rasturnat", "nearest")
 #: leading score are treated as exactly tied.
 REL_TIE_TOL = 1e-12
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +251,9 @@ def compute_density_model(table: TrainingTable, kernel: Kernel, include_self: bo
         raise PredictorError("excluding the self term needs at least two entries")
     multiplicity = table._label_counts.sum(axis=1)
     row_tss = np.empty(multiplicity.size, dtype=np.float64)
-    for u, entry in enumerate(table._distinct_entry):
-        _, dm = match_vectors(Query(table.values[entry]), table)
+    coded_rows = zip(*(column.tolist() for column in table._col_data))
+    for u, row in enumerate(coded_rows):
+        _, dm = match_encoded(row, table)
         ets = kernel.evaluate(dm)
         total = math.fsum(ets * multiplicity)
         if not include_self:
@@ -268,58 +269,135 @@ def compute_density_model(table: TrainingTable, kernel: Kernel, include_self: bo
 
 
 def model_to_dict(model: FittedModel) -> dict:
+    """Version 2: the U distinct rows column by column, and per entry its
+    distinct row and outcome, so entry order survives a round trip."""
     table = model.table
+    columns = [
+        {"values": data.tolist()} if vocab is None
+        else {"categories": list(vocab), "codes": data.astype(np.intp).tolist()}
+        for vocab, data in zip(table._col_vocab, table._col_data)
+    ]
     payload: dict = {
         "version": MODEL_FILE_VERSION,
         "predictor": model.predictor_kind,
         "trace": model.trace_enabled,
         "schema": schema_to_dict(table.schema),
-        "values": [list(row) for row in table.values],
-        "outcomes": list(table.outcomes),
+        "n_entries": table.n_entries,
+        "n_rows": table._distinct_entry.size,
+        "columns": columns,
+        "entry_row": table._distinct_of.tolist(),
+        "outcomes": table._outcomes.tolist(),
         "kernel": kernel_to_dict(model.kernel) if model.kernel is not None else None,
         "density": None,
     }
     if model.density is not None:
         payload["density"] = {
-            "tss": [float(x) for x in model.density.tss],
+            "tss": model.density.tss.tolist(),
             "sts": model.density.sts,
             "stavg": model.density.stavg,
-            "dcf": [float(x) for x in model.density.dcf],
+            "dcf": model.density.dcf.tolist(),
         }
     return payload
 
 
+def _array(value, kinds: str, size: int, what: str) -> np.ndarray:
+    """A JSON list as a 1-D array of ``size`` items of numpy kinds ``kinds``."""
+    try:
+        arr = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds or arr.shape != (size,):
+        noun = "integers" if kinds == "i" else "numbers"
+        raise PredictorError(f"model file: {what} must list {size} {noun}")
+    return arr
+
+
+def _index_array(value, size: int, bound: int, what: str) -> np.ndarray:
+    arr = _array(value, "i", size, what)
+    if arr.min() < 0 or arr.max() >= bound:
+        raise PredictorError(f"model file: {what} must lie in 0..{bound - 1}")
+    return arr.astype(np.intp)
+
+
+def _real_array(value, size: int, what: str) -> np.ndarray:
+    arr = _array(value, "if", size, what).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise PredictorError(f"model file: {what} must be finite")
+    return arr
+
+
+def _table_v1(payload: dict, schema: Schema) -> TrainingTable:
+    """Version 1 held every entry's typed cells; the row constructor checks them."""
+    values, outcomes = payload["values"], payload["outcomes"]
+    if not (isinstance(values, list) and all(isinstance(row, list) for row in values) and isinstance(outcomes, list)):
+        raise PredictorError("model file: values must be a list of rows and outcomes a list")
+    return TrainingTable(schema, values, outcomes)
+
+
+def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
+    m, u, columns = payload["n_entries"], payload["n_rows"], payload["columns"]
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (m, u)):
+        raise PredictorError("model file: n_entries and n_rows must be positive integers")
+    if not (isinstance(columns, list) and len(columns) == schema.n_attributes
+            and all(isinstance(column, dict) for column in columns)):
+        raise PredictorError(f"model file: columns must list {schema.n_attributes} objects")
+    entry_row = _index_array(payload["entry_row"], m, u, "entry_row")
+    outcomes = _index_array(payload["outcomes"], m, len(schema.outcome_labels), "outcomes")
+    coded, vocabs = [], []
+    for spec, column in zip(schema.attributes, columns):
+        what = f"column {spec.name!r}"
+        if spec.kind == CATEGORICAL:
+            cats = column["categories"]
+            if not (isinstance(cats, list) and all(isinstance(c, str) for c in cats) and len(set(cats)) == len(cats)
+                    and spec.categories in (None, tuple(cats))):
+                raise PredictorError(f"model file: {what} needs the schema's categories in code order")
+            vocabs.append({c: k for k, c in enumerate(cats)})
+            data = _index_array(column["codes"], u, len(cats), f"{what} codes")
+        else:
+            vocabs.append(None)
+            data = _real_array(column["values"], u, f"{what} values")
+        coded.append(data[entry_row])
+    return TrainingTable._from_columns(schema, coded, vocabs, outcomes)
+
+
+def _density_from_dict(payload, m: int) -> DensityModel:
+    if not isinstance(payload, dict) or not (_is_finite_real(payload["sts"]) and _is_finite_real(payload["stavg"])):
+        raise PredictorError("model file: density needs tss, dcf, and finite sts and stavg")
+    return DensityModel(
+        tss=_real_array(payload["tss"], m, "density tss"),
+        sts=float(payload["sts"]),
+        stavg=float(payload["stavg"]),
+        dcf=_real_array(payload["dcf"], m, "density dcf"),
+    )
+
+
 def model_from_dict(payload: dict) -> FittedModel:
+    """Check a model document in one pass and rebuild the fitted model.
+
+    Version 2 files are written by ``model_to_dict``; version 1 files
+    (every entry's cells) still load.
+    """
     if not isinstance(payload, dict):
         raise PredictorError("model document must be a JSON object")
-    if payload.get("version") != MODEL_FILE_VERSION:
-        raise PredictorError(f"unsupported model file version {payload.get('version')!r}")
+    version = payload.get("version")
+    if version not in (1, MODEL_FILE_VERSION):
+        raise PredictorError(f"unsupported model file version {version!r}")
     try:
         schema = schema_from_dict(payload["schema"])
-        values = [
-            [cell if isinstance(cell, str) else float(cell) for cell in row]
-            for row in payload["values"]
-        ]
-        table = TrainingTable(schema, values, payload["outcomes"])
+        table = (_table_v1 if version == 1 else _table_v2)(payload, schema)
         predictor = payload["predictor"]
         kernel = None
         if payload.get("kernel") is not None:
             kernel = kernel_from_dict(payload["kernel"], table.n_entries, table.total_weight)
         density = None
         if payload.get("density") is not None:
-            d = payload["density"]
-            density = DensityModel(
-                tss=np.asarray(d["tss"], dtype=np.float64),
-                sts=float(d["sts"]),
-                stavg=float(d["stavg"]),
-                dcf=np.asarray(d["dcf"], dtype=np.float64),
-            )
+            density = _density_from_dict(payload["density"], table.n_entries)
     except KeyError as exc:
         raise PredictorError(f"model file lacks the required key {exc}") from None
     if predictor not in PREDICTOR_KINDS or (predictor == "rasturnat") != (kernel is not None):
         raise PredictorError(f"model file holds predictor {predictor!r} with kernel {payload.get('kernel')!r}")
-    if density is not None and not density.tss.shape == density.dcf.shape == (table.n_entries,):
-        raise PredictorError(f"density arrays must hold one value per entry ({table.n_entries})")
+    if density is not None and kernel is None:
+        raise PredictorError("model file holds a density for a predictor without a kernel")
     return FittedModel(
         table,
         predictor,
@@ -330,7 +408,7 @@ def model_from_dict(payload: dict) -> FittedModel:
 
 
 def save_model(model: FittedModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(model_to_dict(model), separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> FittedModel:

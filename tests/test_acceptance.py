@@ -21,7 +21,6 @@ from fieldpred import (
     generate_synthetic,
     make_kernel,
     make_spec,
-    naive_reference_predict,
     predict,
     run_convergence,
     save_spec,
@@ -33,7 +32,7 @@ from fieldpred.harness import all_tuples, generate_point_test
 from fieldpred.kernels import KERNEL_KINDS
 from fieldpred.predictors import FittedModel
 
-from .util import random_categorical_instance, random_continuous_instance
+from .util import naive_reference_predict, random_categorical_instance, random_continuous_instance
 
 CERTIFIED_KINDS = ("bridge", "adj_pow_2", "newton", "spliced", "decay_a", "decay_b")
 UNCERTIFIED_KINDS = ("pow_2", "pow_e", "gauss")

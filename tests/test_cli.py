@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fieldpred import KERNEL_KINDS, fit, load_model, make_spec, predict, save_spec
 from fieldpred.cli import main
-from fieldpred.dataset import load_table
+from fieldpred.dataset import load_table, schema_to_dict
 from fieldpred.harness import all_tuples
+
+DATA = Path(__file__).parent / "data"
 
 TRAIN_CSV = """color,size,label
 red,1.0,yes
@@ -106,6 +109,22 @@ class TestFit:
     pytest.param(lambda payload: payload["kernel"].update(mld="nan"), id="nan-mld"),
     pytest.param(lambda payload: payload.pop("schema"), id="no-schema"),
     pytest.param(lambda payload: payload["schema"]["attributes"][0].update(weight="nan"), id="nan-weight"),
+    pytest.param(lambda payload: payload["columns"][1]["values"].__setitem__(0, None), id="null-cell"),
+    pytest.param(lambda payload: payload["columns"][0]["codes"].__setitem__(0, None), id="null-code"),
+    pytest.param(lambda payload: payload["columns"][0]["codes"].__setitem__(0, 7), id="code-out-of-range"),
+    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, 0.5), id="fractional-outcome"),
+    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, "yes"), id="string-outcome"),
+    pytest.param(lambda payload: payload["outcomes"].pop(), id="short-outcomes"),
+    pytest.param(lambda payload: payload["entry_row"].append(0), id="long-entry-row"),
+    pytest.param(lambda payload: payload["entry_row"].__setitem__(0, payload["n_rows"]), id="entry-row-past-u"),
+    pytest.param(lambda payload: payload["columns"][1]["values"].pop(), id="short-column"),
+    pytest.param(lambda payload: payload.update(n_entries=6), id="wrong-n-entries"),
+    pytest.param(lambda payload: payload["columns"].pop(), id="missing-column"),
+    pytest.param(lambda payload: payload["schema"]["attributes"][0].pop("name"), id="unnamed-attribute"),
+    pytest.param(lambda payload: payload["kernel"].update(mld=None), id="null-mld"),
+    pytest.param(lambda payload: payload["kernel"].update(mld=10**400), id="huge-mld"),
+    pytest.param(lambda payload: payload.update(predictor="delanga", kernel=None, density={
+        "tss": [1.0] * 5, "dcf": [1.0] * 5, "sts": 5.0, "stavg": 1.0}), id="density-without-kernel"),
 ])
 def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -116,6 +135,43 @@ def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, c
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["predict", "--model", str(path), "--query", "red,1.5"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda payload: payload["values"][0].__setitem__(1, None), id="null-cell"),
+    pytest.param(lambda payload: payload["values"][0].__setitem__(0, 3), id="number-in-categorical"),
+    pytest.param(lambda payload: payload["values"][0].pop(), id="short-row"),
+    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, 0.5), id="fractional-outcome"),
+    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, "yes"), id="string-outcome"),
+    pytest.param(lambda payload: payload["density"]["dcf"].pop(), id="short-dcf"),
+    pytest.param(lambda payload: payload["density"].update(sts=None), id="null-sts"),
+    pytest.param(lambda payload: payload["density"].update(stavg=10**400), id="huge-stavg"),
+])
+def test_corrupted_v1_model_file_is_an_input_error(corrupt, tmp_path, capsys):
+    payload = json.loads((DATA / "model_v1_mixed_density.json").read_text())
+    corrupt(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    assert main(["predict", "--model", str(path), "--query", "red,1.5,round"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda payload: payload["attributes"][0].pop("name"), id="unnamed-attribute"),
+    pytest.param(lambda payload: payload["attributes"][1].update(kind=None), id="null-kind"),
+    pytest.param(lambda payload: payload["attributes"][1].update(weight=None), id="null-weight"),
+    pytest.param(lambda payload: payload["attributes"][1].update(weight=10**400), id="huge-weight"),
+    pytest.param(lambda payload: payload["attributes"][0].update(categories="red"), id="string-categories"),
+    pytest.param(lambda payload: payload.update(attributes={}), id="attributes-not-a-list"),
+    pytest.param(lambda payload: payload.update(outcome_labels=[1, 2]), id="numeric-labels"),
+])
+def test_corrupted_schema_file_is_an_input_error(corrupt, train_file, tmp_path, capsys):
+    payload = schema_to_dict(load_table(train_file).schema)
+    corrupt(payload)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(payload))
+    assert main(["fit", "--train", train_file, "--predictor", "delanga", "--schema", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -102,6 +102,45 @@ def test_unknown_outcome_label_with_explicit_schema():
         load_table(b"a,out\np,y\n", schema=schema)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_continuous_cell_with_explicit_schema(cell):
+    schema = Schema((AttributeSpec("a", "categorical"), AttributeSpec("b", "continuous")), ("x", "y"))
+    text = f"a,b,out\np,1.0,x\nq,{cell},y\n".encode()
+    with pytest.raises(DataError, match=f"cannot parse continuous cell '{cell}' at line 3, column 'b'"):
+        load_table(text, schema=schema)
+
+
+def test_unknown_outcome_label_names_its_line():
+    schema = Schema((AttributeSpec("a", "categorical"),), ("x", "y"))
+    with pytest.raises(DataError, match="unknown outcome label 'z' at line 4"):
+        load_table(b"a,out\np,x\nq,y\nq,z\np,w\n", schema=schema)
+
+
+def test_first_bad_cell_in_file_order_is_reported():
+    # Each column has a bad cell; the earliest line wins, and on one line
+    # the leftmost attribute column, then the outcome.
+    schema = Schema(
+        (AttributeSpec("a", "continuous"), AttributeSpec("c", "categorical", categories=("p",))),
+        ("x",),
+    )
+    with pytest.raises(DataError, match="unknown category 'r' at line 3, column 'c'"):
+        load_table(b"a,c,out\n1.0,p,x\n2.0,r,x\nzzz,p,y\n", schema=schema)
+    with pytest.raises(DataError, match="cannot parse continuous cell 'zzz' at line 3, column 'a'"):
+        load_table(b"a,c,out\n1.0,p,x\nzzz,r,y\n", schema=schema)
+    with pytest.raises(DataError, match="unknown outcome label 'y' at line 2"):
+        load_table(b"a,c,out\n1.0,p,y\nzzz,p,x\n", schema=schema)
+    # The outcome column need not be last in the file.
+    with pytest.raises(DataError, match="unknown category 'r' at line 2, column 'c'"):
+        load_table(b"out,a,c\ny,1.0,r\n", schema=schema, outcome_column="out")
+
+
+def test_empty_cell_before_ragged_row_is_reported_first():
+    with pytest.raises(DataError, match="empty cell at line 2"):
+        load_table(b"a,b,out\n1,,x\n1,2\n")
+    with pytest.raises(DataError, match="ragged row at line 2"):
+        load_table(b"a,b,out\n1,2\n1,,x\n")
+
+
 def test_outcome_column_override():
     csv = b"label,f\nyes,1.0\nno,2.0\n"
     table = load_table(csv, outcome_column="label")
@@ -193,6 +232,8 @@ def test_schema_rejects_bad_weights_and_duplicates():
     with pytest.raises(DataError):
         AttributeSpec("a", "categorical", weight=-1.0)
     with pytest.raises(DataError):
+        AttributeSpec("a", "categorical", weight=10**400)
+    with pytest.raises(DataError):
         Schema((AttributeSpec("a", "categorical"), AttributeSpec("a", "continuous")), ("x",))
     with pytest.raises(DataError):
         Schema((AttributeSpec("a", "categorical"),), ())
@@ -208,6 +249,23 @@ def test_training_table_validates_cells():
         TrainingTable(schema, [(1.0,)], [5])
     with pytest.raises(DataError, match="empty table"):
         TrainingTable(schema, [], [])
+
+
+@pytest.mark.parametrize("outcome", [0.5, 1.0, "0", True, None])
+def test_training_table_rejects_non_integer_outcomes(outcome):
+    schema = Schema((AttributeSpec("a", "continuous"),), ("x", "y"))
+    with pytest.raises(DataError, match="outcome index"):
+        TrainingTable(schema, [(1.0,), (2.0,)], [0, outcome])
+
+
+def test_loaded_and_constructed_tables_share_one_coding():
+    table = load_table(CSV_MIXED)
+    built = TrainingTable(table.schema, table.values, table.outcomes)
+    for name in ("_distinct_of", "_distinct_entry", "_outcomes", "_label_counts"):
+        assert np.array_equal(getattr(built, name), getattr(table, name))
+    assert all(np.array_equal(a, b) for a, b in zip(built._col_data, table._col_data))
+    assert built._col_vocab == table._col_vocab
+    assert built.schema == table.schema
 
 
 def test_total_weight_matches_full_match_accumulation():

@@ -9,6 +9,7 @@ from fieldpred import (
     ConvergenceReportRow,
     HarnessError,
     Query,
+    TrainingTable,
     bayes_optimal,
     counterexample_spec,
     evaluate_accuracy,
@@ -18,7 +19,6 @@ from fieldpred import (
     load_spec,
     make_kernel,
     make_spec,
-    naive_reference_predict,
     predict,
     run_convergence,
     save_spec,
@@ -35,7 +35,7 @@ from fieldpred.harness import (
 )
 from fieldpred.kernels import KERNEL_KINDS
 
-from .util import per_row_accuracy, random_categorical_instance
+from .util import naive_reference_predict, per_row_accuracy, random_categorical_instance
 
 
 def tiny_spec(seed=9, p_plus=0.8):
@@ -244,6 +244,17 @@ class TestEvaluateAccuracy:
         )
         with pytest.raises(HarnessError, match="unknown to the model"):
             evaluate_accuracy(model, generate_synthetic(foreign, 5, 0))
+
+
+def test_generated_tables_match_the_row_constructor():
+    spec = standard_spec()
+    for table in (generate_synthetic(spec, 500, 4), generate_point_test(spec, ("2", "0", "1"), 50, 5)):
+        built = TrainingTable(spec.schema(), table.values, table.outcomes)
+        assert built.values == table.values
+        for name in ("_distinct_of", "_outcomes", "_label_counts"):
+            assert np.array_equal(getattr(built, name), getattr(table, name))
+        assert all(np.array_equal(a, b) for a, b in zip(built._col_data, table._col_data))
+        assert built._col_vocab == table._col_vocab
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,7 @@
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from fieldpred import (
     compute_density_model,
     fit,
     load_model,
+    load_table,
     make_kernel,
     predict,
     save_model,
@@ -29,7 +33,10 @@ from .util import (
     brute_one_nn,
     random_categorical_instance,
     random_continuous_instance,
+    random_mixed_instance,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def two_bit_table(rows_and_outcomes):
@@ -425,3 +432,57 @@ class TestModelFiles:
         path.write_text("{not json")
         with pytest.raises(PredictorError, match="invalid model file"):
             load_model(path)
+
+    def test_version_1_file_predicts_like_a_fresh_fit(self):
+        # Written by the version 1 writer from mixed_train.csv with
+        # `fit --predictor rasturnat --kernel bridge --density`.
+        loaded = load_model(DATA / "model_v1_mixed_density.json")
+        assert json.loads((DATA / "model_v1_mixed_density.json").read_text())["version"] == 1
+        fresh = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
+        assert loaded.table.values == fresh.table.values
+        assert loaded.table.outcomes == fresh.table.outcomes
+        assert loaded.table.schema == fresh.table.schema
+        assert np.array_equal(loaded.votes, fresh.votes)
+        for color in ("red", "blue", "green", "violet"):
+            for size in (0.75, 1.5, 2.2, 4.25, 9.0):
+                for shape in ("round", "square"):
+                    query = Query((color, size, shape))
+                    a, b = predict(fresh, query), predict(loaded, query)
+                    assert (a.scores, a.likelihoods, a.winner, a.tie_depth) == \
+                        (b.scores, b.likelihoods, b.winner, b.tie_depth)
+
+    def test_writes_version_2_without_indentation(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fit(load_table(DATA / "mixed_train.csv"), "delanga"), path)
+        text = path.read_text()
+        assert json.loads(text)["version"] == 2
+        assert text.count("\n") == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["delanga", "nearest", "rasturnat"]),
+       st.sampled_from(["bridge", "newton", "pow_2", "adj_pow_2", "spliced"]), st.booleans())
+def test_version_2_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
+    rng = np.random.default_rng(seed)
+    table, queries = random_mixed_instance(rng)
+    if predictor == "rasturnat":
+        model = fit(table, predictor, kernel, density=density)
+    else:
+        model = fit(table, predictor)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.table.values == table.values
+    assert loaded.table.outcomes == table.outcomes
+    assert loaded.table.schema == table.schema
+    assert np.array_equal(loaded.votes, model.votes)
+    if model.density is None:
+        assert loaded.density is None
+    else:
+        for name in ("tss", "dcf"):
+            assert np.array_equal(getattr(loaded.density, name), getattr(model.density, name))
+        assert (loaded.density.sts, loaded.density.stavg) == (model.density.sts, model.density.stavg)
+    for query in queries:
+        a, b = predict(model, query), predict(loaded, query)
+        assert (a.scores, a.likelihoods, a.winner, a.tie_depth) == (b.scores, b.likelihoods, b.winner, b.tie_depth)

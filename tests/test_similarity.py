@@ -9,13 +9,17 @@ from fieldpred import (
     Query,
     Schema,
     TrainingTable,
-    all_match_scores,
-    column_match_score,
-    entry_match_score,
 )
 from fieldpred.similarity import match_vectors
 
-from .util import brute_distance, random_categorical_instance, random_continuous_instance
+from .util import (
+    all_match_scores,
+    brute_distance,
+    column_match_score,
+    entry_match_score,
+    random_categorical_instance,
+    random_continuous_instance,
+)
 
 
 def _spec(kind, **kw):

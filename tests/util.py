@@ -7,11 +7,27 @@ something that cannot share its bugs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from fieldpred import AttributeSpec, Query, Schema, TrainingTable, predict
+from fieldpred import (
+    AttributeSpec,
+    DataError,
+    DensityModel,
+    HarnessError,
+    Kernel,
+    Prediction,
+    Query,
+    Schema,
+    TrainingTable,
+    predict,
+)
+from fieldpred.dataset import CATEGORICAL, _is_real
+from fieldpred.predictors import REL_TIE_TOL
+from fieldpred.similarity import match_vectors
 
 LABEL_POOL = ("A", "B", "C")
 
@@ -51,6 +67,28 @@ def random_continuous_instance(rng: np.random.Generator, max_entries: int = 30):
         dists = [brute_distance(query, table, i) for i in range(m)]
         if len(set(dists)) == m:
             return table, query
+
+
+def random_mixed_instance(rng: np.random.Generator, max_entries: int = 30):
+    """A random table of categorical and continuous columns with repeated
+    rows, plus queries that include unseen categories and off-grid reals."""
+    kinds = [str(rng.choice(["categorical", "continuous"])) for _ in range(int(rng.integers(1, 5)))]
+    n_labels = int(rng.integers(1, 4))
+    m = int(rng.integers(2, max_entries + 1))
+    schema = Schema(tuple(AttributeSpec(f"x{j}", kind) for j, kind in enumerate(kinds)), LABEL_POOL[:n_labels])
+    grid = [0.0, 0.5, 1.0 / 3.0, 2.0, -1.25]
+
+    def row(n_cats: int, shift: float):
+        return tuple(
+            str(rng.integers(0, n_cats)) if kind == "categorical" else grid[int(rng.integers(0, len(grid)))] + shift
+            for kind in kinds
+        )
+
+    distinct = [row(3, 0.0) for _ in range(int(rng.integers(1, m + 1)))]
+    rows = [distinct[int(rng.integers(0, len(distinct)))] for _ in range(m)]
+    outcomes = [int(rng.integers(0, n_labels)) for _ in range(m)]
+    queries = [Query(row(4, 0.1)) for _ in range(3)] + [Query(r) for r in distinct[:2]]
+    return TrainingTable(schema, rows, outcomes), queries
 
 
 def brute_distance(query: Query, table: TrainingTable, row: int) -> float:
@@ -110,3 +148,146 @@ def per_row_accuracy(model, test_table: TrainingTable) -> float:
         for row, outcome in zip(test_table.values, test_table.outcomes)
     )
     return correct / test_table.n_entries
+
+
+@dataclass(frozen=True)
+class MatchScores:
+    """Entry match score, matching distance, optional per-column scores."""
+
+    ems: float
+    dm: float
+    per_column: tuple[float, ...] | None = None
+
+
+def column_match_score(query_cell, entry_cell, spec: AttributeSpec) -> float:
+    if spec.kind == CATEGORICAL:
+        if not isinstance(query_cell, str) or not isinstance(entry_cell, str):
+            raise DataError(f"attribute {spec.name!r} is categorical, cells must be strings")
+        return 1.0 if query_cell == entry_cell else 0.0
+    if not _is_real(query_cell) or not _is_real(entry_cell):
+        raise DataError(f"attribute {spec.name!r} is continuous, cells must be reals")
+    width = spec.range_width
+    if width is None:
+        raise DataError(f"attribute {spec.name!r} has no range_width; build a table first")
+    if width == 0.0:
+        return 1.0 if query_cell == entry_cell else 0.0
+    raw = 1.0 - abs(query_cell - entry_cell) / width
+    if raw < 0.0:
+        return 0.0
+    if raw > 1.0:
+        return 1.0
+    return raw
+
+
+def entry_match_score(query: Query, table: TrainingTable, row: int, trace: bool = False) -> MatchScores:
+    """Score one training entry against the query."""
+    entry = table.values[row]  # IndexError on bad row is intentional
+    score = 0.0
+    per_column = [] if trace else None
+    for j, spec in enumerate(table.schema.attributes):
+        cms = column_match_score(query.values[j], entry[j], spec)
+        if per_column is not None:
+            per_column.append(cms)
+        score += spec.weight * cms
+    dm = max(table.total_weight - score, 0.0)
+    return MatchScores(ems=score, dm=dm, per_column=tuple(per_column) if trace else None)
+
+
+def all_match_scores(query: Query, table: TrainingTable, trace: bool = False) -> list[MatchScores]:
+    """MatchScores for every entry, in row order."""
+    ems, dm = match_vectors(query, table)
+    if not trace:
+        rows = table._distinct_of
+        return [MatchScores(ems=float(e), dm=float(d)) for e, d in zip(ems[rows], dm[rows])]
+    return [entry_match_score(query, table, i, trace=True) for i in range(table.n_entries)]
+
+
+def naive_reference_predict(
+    table: TrainingTable,
+    query: Query,
+    kernel: Kernel,
+    density: DensityModel | None = None,
+) -> Prediction:
+    """Field-superposition prediction as the most literal possible loop.
+
+    Independent of the production path on purpose: per-cell match scores,
+    per-entry sums, scalar kernel formulas, and a dict accumulator, all in
+    plain Python. Used as the oracle the vectorized rasturnat is checked
+    against.
+    """
+    labels = table.schema.outcome_labels
+    tos = {label: 0.0 for label in labels}
+    total_weight = table.total_weight
+    for i in range(table.n_entries):
+        score = 0.0
+        for j, spec in enumerate(table.schema.attributes):
+            q, t = query.values[j], table.values[i][j]
+            if spec.kind == CATEGORICAL:
+                cms = 1.0 if q == t else 0.0
+            else:
+                width = spec.range_width
+                if width == 0.0:
+                    cms = 1.0 if q == t else 0.0
+                else:
+                    cms = 1.0 - abs(q - t) / width
+                    if cms < 0.0:
+                        cms = 0.0
+                    elif cms > 1.0:
+                        cms = 1.0
+            score += spec.weight * cms
+        d = max(total_weight - score, 0.0)
+        ets = _naive_kernel_value(kernel, d)
+        if density is not None:
+            ets = float(density.dcf[i]) * ets
+        tos[labels[table.outcomes[i]]] += ets
+
+    total = math.fsum(tos.values())
+    best = max(tos.values())
+    tied = [label for label in labels if tos[label] >= best - best * REL_TIE_TOL]
+    winner = tied[0]
+    likelihoods = {label: tos[label] / total for label in labels}
+    return Prediction(dict(tos), likelihoods, winner, 1 if len(tied) > 1 else 0, None)
+
+
+def _naive_kernel_value(kernel: Kernel, d: float) -> float:
+    """Scalar kernel formulas written out independently of Kernel.evaluate."""
+    kind = kernel.kind
+    if kind == "pow_2":
+        value = 2.0 ** (-d)
+    elif kind == "pow_e":
+        value = math.exp(-d)
+    elif kind == "gauss":
+        value = math.exp(-(d * d))
+    elif kind == "bridge":
+        value = kernel.mld ** (-d)
+    elif kind == "spliced":
+        if d == 0.0:
+            value = kernel.mld * _naive_kernel_value(kernel.base, 1.0)
+        else:
+            value = _naive_kernel_value(kernel.base, d)
+        return value * kernel.scale
+    elif kind == "adj_pow_2":
+        value = 1.0 / (2.0**d + kernel.adrez)
+    elif kind == "inv_additive_residue":
+        if kernel.grow_kind == "pow_2":
+            g = 2.0**d
+        elif kernel.grow_kind == "pow_e":
+            g = math.exp(d)
+        elif kernel.grow_kind == "square":
+            g = d * d
+        else:
+            g = d
+        value = 1.0 / (kernel.adrez + g)
+    elif kind == "newton":
+        value = 1.0 / (1.0 / kernel.mld + d * d)
+    elif kind in ("decay_a", "decay_b"):
+        power = 1 if kind == "decay_a" else 2
+        whole = int(math.floor(d))
+        h = 0.0
+        for i in range(1, whole + 1):
+            h += 1.0 / i**power
+        h += (d - whole) / (whole + 1) ** power
+        value = kernel.mld ** (-h)
+    else:  # pragma: no cover
+        raise HarnessError(f"unknown kernel kind {kind!r}")
+    return value * kernel.scale
