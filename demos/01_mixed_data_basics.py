@@ -6,7 +6,7 @@ overlap for numbers), and an entry's distance is the weight it failed to
 match. This script walks that pipeline end to end.
 """
 
-from fieldpred import Query, fit, load_table, predict
+from fieldpred import Query, explain, fit, load_table, predict
 
 CSV = b"""color,size,label
 red,1.0,yes
@@ -25,22 +25,23 @@ print(f"outcomes: {table.schema.outcome_labels}")
 print()
 
 # The proximity predictor answers from the closest entries only.
-proximity = fit(table, "delanga", trace=True)
+proximity = fit(table, "delanga")
 query = Query(("red", 1.5))
 p = predict(proximity, query)
 print(f"delanga on {query.values}:")
 print(f"  winner={p.winner} likelihoods={p.likelihoods}")
-print(f"  champion rows {p.trace.champion_rows} at distance {p.trace.champion_distance}")
+why = explain(proximity, query)
+print(f"  champion rows {why.champion_rows} at distance {why.champion_distance}")
 print()
 
 # The field predictor lets every entry vote, discounted by distance.
-field = fit(table, "rasturnat", "newton", trace=True)
+field = fit(table, "rasturnat", "newton")
 p = predict(field, query)
 print(f"rasturnat/newton on {query.values}:")
 print(f"  winner={p.winner}")
 for label, score in p.scores.items():
     print(f"  tos[{label}] = {score:.6f} (likelihood {p.likelihoods[label]:.4f})")
-print(f"  per-entry votes: {[round(float(v), 4) for v in p.trace.ets]}")
+print(f"  per-entry votes: {[round(float(v), 4) for v in explain(field, query).ets]}")
 print()
 
 # Unseen category values are legal queries; they simply match nothing

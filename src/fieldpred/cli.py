@@ -72,7 +72,6 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outcome-column", help="header name of the outcome column (default: last)")
     p.add_argument("--mld", type=float, help="multiplier lead override (rasturnat only)")
     p.add_argument("--density", action="store_true", help="apply density compensation (rasturnat only)")
-    p.add_argument("--trace", action="store_true", help="retain per-prediction diagnostics")
 
 
 def _fit_from_args(args) -> predictors.FittedModel:
@@ -80,14 +79,7 @@ def _fit_from_args(args) -> predictors.FittedModel:
         raise _UsageError("--kernel is required for the rasturnat predictor")
     schema = dataset.load_schema(args.schema) if args.schema else None
     table = dataset.load_table(args.train, schema=schema, outcome_column=args.outcome_column)
-    return predictors.fit(
-        table,
-        args.predictor,
-        args.kernel,
-        density=args.density,
-        mld_override=args.mld,
-        trace=args.trace,
-    )
+    return predictors.fit(table, args.predictor, args.kernel, density=args.density, mld_override=args.mld)
 
 
 def cmd_fit(args) -> int:
@@ -239,10 +231,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except FieldpredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FieldpredError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal fault, not a usage problem

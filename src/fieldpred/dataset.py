@@ -48,6 +48,10 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_real(value) -> bool:
     """An int or float (not a bool) with a finite value; an int too large for a float is not."""
     try:
@@ -335,14 +339,15 @@ def _infer_column(name: str, cells: Sequence[str]) -> tuple[AttributeSpec, np.nd
 
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    """The UTF-8 text of a path, of bytes, or of a file object."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        data = source if isinstance(source, bytes) else source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+        raise DataError(f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def load_table(source, schema: Schema | None = None, outcome_column: str | None = None) -> TrainingTable:
@@ -500,7 +505,7 @@ def save_schema(schema: Schema, path) -> None:
 
 def load_schema(path) -> Schema:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid schema file: {exc}") from None
     return schema_from_dict(payload)

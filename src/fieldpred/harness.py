@@ -25,7 +25,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, AttributeSpec, Query, Schema, TrainingTable
+from .dataset import (CATEGORICAL, AttributeSpec, Query, Schema, TrainingTable, _is_finite_real, _is_int, _is_str_list,
+                      _read_text)
 from .errors import HarnessError
 from .predictors import FittedModel, fit, predict
 
@@ -84,6 +85,8 @@ class SyntheticSpec:
             raise HarnessError(f"probs must have shape ({k},)")
         if cond.shape != (k, len(self.labels)):
             raise HarnessError(f"conditionals must have shape ({k}, {len(self.labels)})")
+        if not (np.isfinite(probs).all() and np.isfinite(cond).all()):
+            raise HarnessError("masses must be finite")
         if np.any(probs < 0) or np.any(cond < 0):
             raise HarnessError("masses must be nonnegative")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
@@ -134,11 +137,13 @@ def make_spec(
     A conditional for an unreachable tuple, or a missing one for a
     reachable tuple, is an error.
     """
-    cards = tuple(int(c) for c in cardinalities)
+    cards, labels = tuple(int(c) for c in cardinalities), tuple(labels)
+    if not cards or min(cards) < 1 or not labels:
+        raise HarnessError("cardinalities must be positive integers and labels nonempty")
     tuples = all_tuples(cards)
     index = {t: i for i, t in enumerate(tuples)}
     k = len(tuples)
-    n_labels = len(tuple(labels))
+    n_labels = len(labels)
 
     probs = np.zeros(k, dtype=np.float64)
     if isinstance(attribute_distribution, str):
@@ -171,7 +176,7 @@ def make_spec(
     if missing.size:
         raise HarnessError(f"missing conditional for reachable tuple {tuples[missing[0]]!r}")
 
-    return SyntheticSpec(cards, tuple(labels), int(seed), probs, cond)
+    return SyntheticSpec(cards, labels, int(seed), probs, cond)
 
 
 def _outcome_cdf(spec: SyntheticSpec) -> np.ndarray:
@@ -418,22 +423,41 @@ def spec_to_dict(spec: SyntheticSpec) -> dict:
     }
 
 
+def _is_mass_list(value) -> bool:
+    return isinstance(value, list) and all(_is_finite_real(x) for x in value)
+
+
+def _tuple_map(records, key: str, is_value, what: str) -> dict:
+    """``[{"tuple": [...], key: value}, ...]`` as a dict from tuple to value."""
+    if not (isinstance(records, list) and all(
+            isinstance(rec, dict) and isinstance(rec.get("tuple"), list)
+            and all(isinstance(v, str) or _is_int(v) for v in rec["tuple"])
+            and key in rec and is_value(rec[key]) for rec in records)):
+        raise HarnessError(f"spec {what} must list objects with a 'tuple' list and {key!r}")
+    return {tuple(rec["tuple"]): rec[key] for rec in records}
+
+
 def spec_from_dict(payload: dict) -> SyntheticSpec:
+    """Check a spec document's keys and types in one pass and build the spec."""
     if not isinstance(payload, dict):
         raise HarnessError("spec document must be a JSON object")
     if payload.get("version") != SPEC_FILE_VERSION:
         raise HarnessError(f"unsupported spec file version {payload.get('version')!r}")
+    for key in ("cardinalities", "labels", "attribute_distribution", "conditionals"):
+        if key not in payload:
+            raise HarnessError(f"spec file lacks the required key {key!r}")
+    cards, labels, seed = payload["cardinalities"], payload["labels"], payload.get("seed", 0)
+    if not (isinstance(cards, list) and all(_is_int(c) for c in cards)):
+        raise HarnessError("spec cardinalities must be a list of integers")
+    if not _is_str_list(labels):
+        raise HarnessError("spec labels must be a list of strings")
+    if not _is_int(seed):
+        raise HarnessError("spec seed must be an integer")
     dist = payload["attribute_distribution"]
     if not isinstance(dist, str):
-        dist = {tuple(rec["tuple"]): rec["mass"] for rec in dist}
-    conditionals = {tuple(rec["tuple"]): rec["masses"] for rec in payload["conditionals"]}
-    return make_spec(
-        payload["cardinalities"],
-        payload["labels"],
-        payload.get("seed", 0),
-        attribute_distribution=dist,
-        conditionals=conditionals,
-    )
+        dist = _tuple_map(dist, "mass", _is_finite_real, "attribute_distribution")
+    conditionals = _tuple_map(payload["conditionals"], "masses", _is_mass_list, "conditionals")
+    return make_spec(cards, labels, seed, attribute_distribution=dist, conditionals=conditionals)
 
 
 def save_spec(spec: SyntheticSpec, path) -> None:
@@ -442,7 +466,7 @@ def save_spec(spec: SyntheticSpec, path) -> None:
 
 def load_spec(path) -> SyntheticSpec:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise HarnessError(f"invalid spec file: {exc}") from None
     return spec_from_dict(payload)

@@ -10,6 +10,9 @@ the query to each of the table's U distinct rows, and the U x K matrix
 * ``nearest``: majority at the smallest distance, ties to label order;
   kept as a familiar baseline.
 
+``predict`` is the one way to ask a fitted model; ``explain`` recomputes
+the per-entry evidence behind an answer on request.
+
 Outcome scores within REL_TIE_TOL of the leader count as ties resolved by
 label order. A tie in that band is re-scored per distance level, so labels
 with equal counts at every level get bitwise-equal fields and results do
@@ -27,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real, schema_from_dict, schema_to_dict
+from .dataset import (CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real, _is_int, _read_text,
+                      schema_from_dict, schema_to_dict)
 from .errors import PredictorError
 from .kernels import Kernel, kernel_from_dict, kernel_to_dict, make_kernel
 from .similarity import match_encoded, match_vectors
@@ -63,6 +67,9 @@ class DensityModel:
 
 @dataclass(frozen=True, eq=False)
 class PredictionTrace:
+    """Per-entry evidence from ``explain``: the champion distance and entry
+    indices (delanga, nearest), or every entry's vote (rasturnat)."""
+
     champion_distance: float | None = None
     champion_rows: tuple[int, ...] | None = None
     ets: np.ndarray | None = None
@@ -76,7 +83,6 @@ class Prediction:
     likelihoods: dict[str, float]
     winner: str
     tie_depth: int
-    trace: PredictionTrace | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +91,12 @@ class FittedModel:
     predictor_kind: str
     kernel: Kernel | None = None
     density: DensityModel | None = None
-    trace_enabled: bool = False
     #: U x K votes per distinct row and label: counts, or dcf sums with density.
     votes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.predictor_kind not in PREDICTOR_KINDS:
+            raise PredictorError(f"unknown predictor kind {self.predictor_kind!r}")
         votes = self.table._label_counts
         if self.density is not None:
             votes = np.bincount(self.table._vote_cell, weights=self.density.dcf,
@@ -104,7 +111,6 @@ def fit(
     *,
     density: bool = False,
     mld_override: float | None = None,
-    trace: bool = False,
 ) -> FittedModel:
     """Bind a predictor to a table; 'fitting' is bookkeeping, not training.
 
@@ -121,21 +127,37 @@ def fit(
             raise PredictorError("density compensation is a rasturnat parameter")
         if mld_override is not None:
             raise PredictorError("mld is a rasturnat parameter")
-        return FittedModel(table, predictor_kind, trace_enabled=trace)
+        return FittedModel(table, predictor_kind)
 
     if kernel_kind is None:
         raise PredictorError("rasturnat requires a kernel kind")
     kernel = make_kernel(kernel_kind, table.n_entries, table.total_weight, mld_override)
     density_model = compute_density_model(table, kernel) if density else None
-    return FittedModel(table, "rasturnat", kernel=kernel, density=density_model, trace_enabled=trace)
+    return FittedModel(table, "rasturnat", kernel=kernel, density=density_model)
 
 
 def predict(model: FittedModel, query: Query) -> Prediction:
-    if model.predictor_kind == "delanga":
-        return predict_delanga(model, query)
+    """Score the query against the U distinct rows and reduce by the model's rule."""
+    dm = match_vectors(query, model.table)[1]
     if model.predictor_kind == "rasturnat":
-        return predict_rasturnat(model, query)
-    return predict_nearest(model, query)
+        return _predict_field(model, dm)
+    return _predict_champions(model, dm)
+
+
+def explain(model: FittedModel, query: Query) -> PredictionTrace:
+    """The per-entry evidence behind ``predict(model, query)``, in entry order.
+
+    delanga and nearest: the minimal distance and the entries at it.
+    rasturnat: each entry's kernel vote, times its dcf with density.
+    """
+    entry_row = model.table._distinct_of
+    dm = match_vectors(query, model.table)[1]
+    if model.predictor_kind != "rasturnat":
+        d_min = float(dm.min())
+        rows = np.flatnonzero((dm == d_min)[entry_row])
+        return PredictionTrace(champion_distance=d_min, champion_rows=tuple(int(i) for i in rows))
+    dcf = model.density.dcf if model.density is not None else 1.0
+    return PredictionTrace(ets=model.kernel.evaluate(dm)[entry_row] * dcf)
 
 
 def _select_winner(scores: np.ndarray) -> tuple[int, int]:
@@ -143,12 +165,6 @@ def _select_winner(scores: np.ndarray) -> tuple[int, int]:
     best = float(scores.max())
     tied = np.flatnonzero(scores >= best - best * REL_TIE_TOL)
     return int(tied[0]), (1 if tied.size > 1 else 0)
-
-
-def _distances(model: FittedModel, query: Query, kind: str) -> np.ndarray:
-    if model.predictor_kind != kind:
-        raise PredictorError(f"model was fitted for {model.predictor_kind}, not {kind}")
-    return match_vectors(query, model.table)[1]
 
 
 def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,42 +175,25 @@ def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return levels, per_level
 
 
-def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int,
-                trace: PredictionTrace | None) -> Prediction:
+def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int) -> Prediction:
     labels = model.table.schema.outcome_labels
     total = tos.sum()
     scores = {label: float(tos[k]) for k, label in enumerate(labels)}
     likelihoods = {label: float(tos[k] / total) for k, label in enumerate(labels)}
-    return Prediction(scores, likelihoods, winner, tie_depth, trace)
+    return Prediction(scores, likelihoods, winner, tie_depth)
 
 
-def predict_delanga(model: FittedModel, query: Query) -> Prediction:
-    """Majority over the minimal-distance entries, ties walked outward."""
-    return _predict_champions(model, query, "delanga")
-
-
-def predict_nearest(model: FittedModel, query: Query) -> Prediction:
-    """Outcome of the closest entry; distance ties go to the set majority."""
-    return _predict_champions(model, query, "nearest")
-
-
-def _predict_champions(model: FittedModel, query: Query, kind: str) -> Prediction:
-    """Label counts at the minimal distance; count ties go to delanga's level
-    walk, or to label order with tie depth 1 for nearest."""
-    dm = _distances(model, query, kind)
-    d_min = float(dm.min())
-    at_min = dm == d_min
+def _predict_champions(model: FittedModel, dm: np.ndarray) -> Prediction:
+    """delanga and nearest: label counts at the minimal distance; count ties
+    go to delanga's level walk, or to label order with tie depth 1 for nearest."""
+    at_min = dm == dm.min()
     counts = model.votes[at_min].sum(axis=0)
     tied = np.flatnonzero(counts == counts.max())
     labels = model.table.schema.outcome_labels
     winner, depth = labels[int(tied[0])], int(tied.size > 1)
-    if depth and kind == "delanga":
+    if depth and model.predictor_kind == "delanga":
         winner, depth = backtrack_tie_break(_level_table(dm, model.votes)[1], labels)
-    trace = None
-    if model.trace_enabled:
-        rows = np.flatnonzero(at_min[model.table._distinct_of])
-        trace = PredictionTrace(champion_distance=d_min, champion_rows=tuple(int(i) for i in rows))
-    return _prediction(model, counts, winner, depth, trace)
+    return _prediction(model, counts, winner, depth)
 
 
 def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[str]) -> tuple[str, int]:
@@ -219,11 +218,9 @@ def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[
     return labels[int(tied[0])], depth
 
 
-def predict_rasturnat(model: FittedModel, query: Query) -> Prediction:
-    """Sum kernel-transformed row scores per outcome; the largest field wins."""
-    dm = _distances(model, query, "rasturnat")
-    ets = model.kernel.evaluate(dm)
-    tos = ets @ model.votes
+def _predict_field(model: FittedModel, dm: np.ndarray) -> Prediction:
+    """rasturnat: sum kernel-transformed row scores per outcome; the largest field wins."""
+    tos = model.kernel.evaluate(dm) @ model.votes
     winner, tie = _select_winner(tos)
     if tie:
         # Sums over rows in different orders can split equal fields by an
@@ -232,33 +229,22 @@ def predict_rasturnat(model: FittedModel, query: Query) -> Prediction:
         levels, per_level = _level_table(dm, model.votes)
         tos = (model.kernel.evaluate(levels)[:, None] * per_level).sum(axis=0)
         winner, tie = _select_winner(tos)
-    trace = None
-    if model.trace_enabled:
-        dcf = model.density.dcf if model.density is not None else 1.0
-        trace = PredictionTrace(ets=ets[model.table._distinct_of] * dcf)
-    return _prediction(model, tos, model.table.schema.outcome_labels[winner], tie, trace)
+    return _prediction(model, tos, model.table.schema.outcome_labels[winner], tie)
 
 
-def compute_density_model(table: TrainingTable, kernel: Kernel, include_self: bool = True) -> DensityModel:
+def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     """Score every distinct row against the whole table and derive dcf factors.
 
-    O(U^2 * N) for U distinct rows; identical entries share one tss. The
-    self term is included by default (``include_self=False`` exists for
-    experimentation and needs M >= 2).
+    O(U^2 * N) for U distinct rows; identical entries share one tss, which
+    includes the entry's own term.
     """
     m = table.n_entries
-    if not include_self and m < 2:
-        raise PredictorError("excluding the self term needs at least two entries")
     multiplicity = table._label_counts.sum(axis=1)
     row_tss = np.empty(multiplicity.size, dtype=np.float64)
     coded_rows = zip(*(column.tolist() for column in table._col_data))
     for u, row in enumerate(coded_rows):
         _, dm = match_encoded(row, table)
-        ets = kernel.evaluate(dm)
-        total = math.fsum(ets * multiplicity)
-        if not include_self:
-            total -= float(ets[u])
-        row_tss[u] = total
+        row_tss[u] = math.fsum(kernel.evaluate(dm) * multiplicity)
     tss = row_tss[table._distinct_of]
     sts = math.fsum(tss)
     stavg = sts / m
@@ -280,7 +266,6 @@ def model_to_dict(model: FittedModel) -> dict:
     payload: dict = {
         "version": MODEL_FILE_VERSION,
         "predictor": model.predictor_kind,
-        "trace": model.trace_enabled,
         "schema": schema_to_dict(table.schema),
         "n_entries": table.n_entries,
         "n_rows": table._distinct_entry.size,
@@ -336,7 +321,7 @@ def _table_v1(payload: dict, schema: Schema) -> TrainingTable:
 
 def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
     m, u, columns = payload["n_entries"], payload["n_rows"], payload["columns"]
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (m, u)):
+    if not all(_is_int(n) and n >= 1 for n in (m, u)):
         raise PredictorError("model file: n_entries and n_rows must be positive integers")
     if not (isinstance(columns, list) and len(columns) == schema.n_attributes
             and all(isinstance(column, dict) for column in columns)):
@@ -375,7 +360,8 @@ def model_from_dict(payload: dict) -> FittedModel:
     """Check a model document in one pass and rebuild the fitted model.
 
     Version 2 files are written by ``model_to_dict``; version 1 files
-    (every entry's cells) still load.
+    (every entry's cells) still load. The ``trace`` key of older files
+    is ignored.
     """
     if not isinstance(payload, dict):
         raise PredictorError("model document must be a JSON object")
@@ -398,13 +384,7 @@ def model_from_dict(payload: dict) -> FittedModel:
         raise PredictorError(f"model file holds predictor {predictor!r} with kernel {payload.get('kernel')!r}")
     if density is not None and kernel is None:
         raise PredictorError("model file holds a density for a predictor without a kernel")
-    return FittedModel(
-        table,
-        predictor,
-        kernel=kernel,
-        density=density,
-        trace_enabled=bool(payload.get("trace", False)),
-    )
+    return FittedModel(table, predictor, kernel=kernel, density=density)
 
 
 def save_model(model: FittedModel, path) -> None:
@@ -414,7 +394,7 @@ def save_model(model: FittedModel, path) -> None:
 def load_model(path) -> FittedModel:
     """Read a model file back; no refitting happens here."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise PredictorError(f"invalid model file: {exc}") from None
     return model_from_dict(payload)

@@ -1,14 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fieldpred import KERNEL_KINDS, fit, load_model, make_spec, predict, save_spec
+from fieldpred import KERNEL_KINDS, counterexample_spec, fit, load_model, make_spec, predict, save_spec
 from fieldpred.cli import main
 from fieldpred.dataset import load_table, schema_to_dict
-from fieldpred.harness import all_tuples
+from fieldpred.harness import all_tuples, spec_to_dict
+from fieldpred.predictors import model_to_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,6 +103,11 @@ class TestFit:
         assert code == 1
         assert "rasturnat" in captured.err
 
+    def test_trace_option_is_gone(self, train_file, capsys):
+        code = main(["fit", "--train", train_file, "--predictor", "delanga", "--trace"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: --trace")
+
     def test_unreadable_train_file(self, tmp_path, capsys):
         code = main(
             ["fit", "--train", str(tmp_path / "nope.csv"), "--predictor", "delanga"]
@@ -173,6 +185,54 @@ def test_corrupted_schema_file_is_an_input_error(corrupt, train_file, tmp_path, 
     path.write_text(json.dumps(payload))
     assert main(["fit", "--train", train_file, "--predictor", "delanga", "--schema", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda payload: payload.pop("attribute_distribution"), id="no-distribution"),
+    pytest.param(lambda payload: payload.pop("conditionals"), id="no-conditionals"),
+    pytest.param(lambda payload: payload.update(cardinalities=["x"]), id="string-cardinality"),
+    pytest.param(lambda payload: payload.update(cardinalities=[0]), id="zero-cardinality"),
+    pytest.param(lambda payload: payload.update(labels=[]), id="no-labels"),
+    pytest.param(lambda payload: payload["attribute_distribution"][0].update(mass="0.25"), id="string-mass"),
+    pytest.param(lambda payload: payload.update(seed="7"), id="string-seed"),
+    pytest.param(lambda payload: payload["conditionals"][0]["masses"].__setitem__(0, float("nan")), id="nan-mass"),
+    pytest.param(lambda payload: payload["attribute_distribution"][0].update(mass=float("inf")), id="inf-mass"),
+    pytest.param(lambda payload: payload["conditionals"][0]["tuple"].__setitem__(0, ["0"]), id="nested-tuple"),
+    pytest.param(lambda payload: payload.update(conditionals={}), id="conditionals-not-a-list"),
+])
+def test_corrupted_spec_file_is_an_input_error(corrupt, spec_file, tmp_path, capsys):
+    payload = json.loads(Path(spec_file).read_text())
+    corrupt(payload)
+    Path(spec_file).write_text(json.dumps(payload))
+    assert main(["converge", "--spec", spec_file, "--arms", "delanga", "--schedule", "5",
+                 "--out", str(tmp_path / "report.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--train", "--schema", "--model", "--queries", "--spec"])
+def test_non_utf8_file_is_an_input_error(flag, train_file, spec_file, tmp_path, capsys):
+    model, schema = tmp_path / "model.json", tmp_path / "schema.json"
+    assert main(["fit", "--train", train_file, "--predictor", "delanga", "--out", str(model)]) == 0
+    schema.write_text(json.dumps(schema_to_dict(load_table(train_file).schema)))
+    files = {"--train": train_file, "--schema": str(schema), "--model": str(model),
+             "--queries": str(tmp_path / "queries.csv"), "--spec": spec_file}
+    Path(files["--queries"]).write_text("red,1.5\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff" + Path(files[flag]).read_bytes())
+    files[flag] = str(bad)
+    argv = {
+        "--train": ["fit", "--train", files["--train"], "--predictor", "delanga"],
+        "--schema": ["fit", "--train", files["--train"], "--predictor", "delanga", "--schema", files["--schema"]],
+        "--model": ["predict", "--model", files["--model"], "--query", "red,1.5"],
+        "--queries": ["predict", "--model", files["--model"], "--queries", files["--queries"]],
+        "--spec": ["converge", "--spec", files["--spec"], "--arms", "delanga", "--schedule", "5",
+                   "--out", str(tmp_path / "report.csv")],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{bad} is not UTF-8 text" in err
 
 
 class TestPredict:
@@ -380,3 +440,75 @@ class TestTopLevel:
         assert proc.returncode == 0
         for sub in ("fit", "predict", "eval", "converge", "kernels"):
             assert sub in proc.stdout
+
+
+def _valid_documents() -> dict:
+    """One valid document per kind, with the argv that reads it from ``{path}``."""
+    table = load_table(TRAIN_CSV.encode())
+    predict_argv = ["predict", "--model", "{path}", "--query", "red,1.5"]
+    return {
+        "model-density": (model_to_dict(fit(table, "rasturnat", "newton", density=True)), predict_argv),
+        "model-spliced": (model_to_dict(fit(table, "rasturnat", "spliced")), predict_argv),
+        "model-v1": (json.loads((DATA / "model_v1_mixed_density.json").read_text()),
+                     ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
+        "schema": (schema_to_dict(table.schema), ["fit", "--train", "{train}", "--predictor", "delanga",
+                                                  "--schema", "{path}"]),
+        "spec": (spec_to_dict(counterexample_spec()), ["converge", "--spec", "{path}", "--arms",
+                                                        "delanga,rasturnat:bridge", "--schedule", "4",
+                                                        "--trials", "1", "--test-size", "4", "--out", "{out}"]),
+    }
+
+
+DOCUMENTS = _valid_documents()
+
+
+def _nodes(value, path=()):
+    """The path (keys and indices) of every node below ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+_HUGE = "__huge_literal__"
+_SWAPS = {"null": None, "true": True, "string": "x", "float": 0.5, "int": 3, "list": [], "object": {},
+          "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "1e400": _HUGE}
+
+
+def _corrupt(payload, path, op) -> str:
+    """Apply one corruption at ``path`` and return the document's JSON text."""
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    key, node = path[-1], parent[path[-1]]
+    if op == "drop":
+        del parent[key]
+    elif op in _SWAPS:
+        parent[key] = _SWAPS[op]
+    elif isinstance(node, list) and op == "truncate":
+        del node[len(node) // 2:]
+    elif isinstance(node, list) and op == "extend":
+        node.append(node[-1] if node else 0)
+    return json.dumps(payload).replace(f'"{_HUGE}"', "1e400")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupted_documents_exit_0_or_1(data):
+    # Whatever single corruption a model, schema or spec file carries, the
+    # command that reads it either still succeeds or reports an input error.
+    kind = data.draw(st.sampled_from(sorted(DOCUMENTS)), label="kind")
+    payload, argv = copy.deepcopy(DOCUMENTS[kind])
+    path = data.draw(st.sampled_from(list(_nodes(payload))), label="path")
+    op = data.draw(st.sampled_from(["drop", "truncate", "extend", *_SWAPS]), label="op")
+    text = _corrupt(payload, path, op)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"path": Path(tmp) / "doc.json", "train": Path(tmp) / "train.csv", "out": Path(tmp) / "out.csv"}
+        files["path"].write_text(text)
+        files["train"].write_text(TRAIN_CSV)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.format(**files) for arg in argv])
+    assert code in (0, 1), err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error:")

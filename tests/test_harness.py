@@ -103,6 +103,22 @@ class TestMakeSpec:
                 conditionals={("0",): [1, 0, 0], ("1",): [1, 0]},
             )
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tuple_mass_rejected(self, mass):
+        with pytest.raises(HarnessError, match="finite"):
+            make_spec((2,), ("+", "-"), 1, attribute_distribution={("0",): mass, ("1",): 0.5},
+                      conditionals={("0",): [1, 0], ("1",): [1, 0]})
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_conditional_mass_rejected(self, mass):
+        with pytest.raises(HarnessError, match="finite"):
+            make_spec((2,), ("+", "-"), 1, conditionals={("0",): [mass, 0.5], ("1",): [1, 0]})
+
+    @pytest.mark.parametrize("cards, labels", [((0,), ("+", "-")), ((), ("+", "-")), ((2,), ())])
+    def test_empty_law_rejected(self, cards, labels):
+        with pytest.raises(HarnessError, match="positive integers and labels nonempty"):
+            make_spec(cards, labels, 1, conditionals={})
+
     def test_conditional_rows_must_sum_to_one(self):
         with pytest.raises(HarnessError, match="sum"):
             make_spec(

@@ -18,6 +18,7 @@ from fieldpred import (
     TrainingTable,
     backtrack_tie_break,
     compute_density_model,
+    explain,
     fit,
     load_model,
     load_table,
@@ -54,13 +55,14 @@ THREE_ROWS = [(("0", "0"), "A"), (("0", "1"), "B"), (("1", "1"), "B")]
 
 class TestDelanga:
     def test_singleton_predictive_set(self):
-        model = fit(two_bit_table(THREE_ROWS), "delanga", trace=True)
+        model = fit(two_bit_table(THREE_ROWS), "delanga")
         p = predict(model, Query(("0", "0")))
         assert p.winner == "A"
         assert p.likelihoods == {"A": 1.0, "B": 0.0}
         assert p.tie_depth == 0
-        assert p.trace.champion_rows == (0,)
-        assert p.trace.champion_distance == 0.0
+        why = explain(model, Query(("0", "0")))
+        assert why.champion_rows == (0,)
+        assert why.champion_distance == 0.0
 
     def test_champion_tie_broken_at_next_level(self):
         table = two_bit_table(
@@ -130,9 +132,20 @@ class TestRasturnat:
         assert p.tie_depth == 1
 
     def test_trace_exposes_per_entry_scores(self):
-        model = fit(two_bit_table(THREE_ROWS), "rasturnat", "pow_2", trace=True)
-        p = predict(model, Query(("0", "0")))
-        assert list(p.trace.ets) == [1.0, 0.5, 0.25]
+        model = fit(two_bit_table(THREE_ROWS), "rasturnat", "pow_2")
+        why = explain(model, Query(("0", "0")))
+        assert list(why.ets) == [1.0, 0.5, 0.25]
+        assert why.champion_rows is None
+
+    def test_explain_scales_votes_by_dcf_with_density(self):
+        table = two_bit_table(THREE_ROWS + [(("0", "0"), "A")])
+        model = fit(table, "rasturnat", "pow_2", density=True)
+        query = Query(("0", "0"))
+        why = explain(model, query)
+        assert list(why.ets) == list(np.array([1.0, 0.5, 0.25, 1.0]) * model.density.dcf)
+        p = predict(model, query)
+        assert p.scores["A"] == pytest.approx(why.ets[0] + why.ets[3], rel=1e-15)
+        assert p.scores["B"] == pytest.approx(why.ets[1] + why.ets[2], rel=1e-15)
 
 
 class TestNearest:
@@ -145,6 +158,17 @@ class TestNearest:
         p = predict(fit(table, "nearest"), Query(("0", "0")))
         assert p.winner == "A"
         assert p.tie_depth == 0
+
+    def test_explain_names_every_champion_entry(self):
+        # Entries 0 and 2 share one distinct row; both are reported.
+        table = two_bit_table([(("0", "0"), "A"), (("1", "1"), "B"), (("0", "0"), "B")])
+        model = fit(table, "nearest")
+        why = explain(model, Query(("0", "0")))
+        assert why.champion_rows == (0, 2)
+        assert why.champion_distance == 0.0
+        assert why.ets is None
+        p = predict(model, Query(("0", "0")))
+        assert (p.winner, p.tie_depth) == ("A", 1)
 
     def test_equidistant_majority(self):
         table = two_bit_table(
@@ -187,12 +211,9 @@ class TestFit:
         with pytest.raises(PredictorError, match="unknown predictor"):
             fit(two_bit_table(THREE_ROWS), "centroid")
 
-    def test_wrong_dispatch_rejected(self):
-        model = fit(two_bit_table(THREE_ROWS), "delanga")
-        from fieldpred.predictors import predict_rasturnat
-
-        with pytest.raises(PredictorError, match="fitted for"):
-            predict_rasturnat(model, Query(("0", "0")))
+    def test_model_of_unknown_kind_rejected(self):
+        with pytest.raises(PredictorError, match="unknown predictor"):
+            FittedModel(two_bit_table(THREE_ROWS), "centroid")
 
 
 class TestDensity:
@@ -222,20 +243,6 @@ class TestDensity:
         density = compute_density_model(table, kernel)
         assert density.dcf[2] > 1.0 > density.dcf[0]
         assert density.dcf[0] == density.dcf[1]
-
-    def test_self_term_exclusion_flag(self):
-        table = two_bit_table([(("0", "0"), "A"), (("1", "1"), "B")])
-        kernel = make_kernel("bridge", 2, table.total_weight)
-        full = compute_density_model(table, kernel)
-        bare = compute_density_model(table, kernel, include_self=False)
-        sepm = float(kernel.evaluate(0.0))
-        assert list(bare.tss) == [t - sepm for t in full.tss]
-
-    def test_exclusion_needs_two_rows(self):
-        table = two_bit_table([(("0", "0"), "A")])
-        kernel = make_kernel("bridge", 1, table.total_weight)
-        with pytest.raises(PredictorError, match="two entries"):
-            compute_density_model(table, kernel, include_self=False)
 
     def test_density_model_validates_positivity(self):
         with pytest.raises(PredictorError):
@@ -433,11 +440,8 @@ class TestModelFiles:
         with pytest.raises(PredictorError, match="invalid model file"):
             load_model(path)
 
-    def test_version_1_file_predicts_like_a_fresh_fit(self):
-        # Written by the version 1 writer from mixed_train.csv with
-        # `fit --predictor rasturnat --kernel bridge --density`.
-        loaded = load_model(DATA / "model_v1_mixed_density.json")
-        assert json.loads((DATA / "model_v1_mixed_density.json").read_text())["version"] == 1
+    @staticmethod
+    def assert_predicts_like_a_fresh_fit(loaded):
         fresh = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
         assert loaded.table.values == fresh.table.values
         assert loaded.table.outcomes == fresh.table.outcomes
@@ -450,6 +454,21 @@ class TestModelFiles:
                     a, b = predict(fresh, query), predict(loaded, query)
                     assert (a.scores, a.likelihoods, a.winner, a.tie_depth) == \
                         (b.scores, b.likelihoods, b.winner, b.tie_depth)
+
+    def test_version_1_file_predicts_like_a_fresh_fit(self):
+        # Written by the version 1 writer from mixed_train.csv with
+        # `fit --predictor rasturnat --kernel bridge --density`.
+        assert json.loads((DATA / "model_v1_mixed_density.json").read_text())["version"] == 1
+        self.assert_predicts_like_a_fresh_fit(load_model(DATA / "model_v1_mixed_density.json"))
+
+    def test_version_2_trace_key_is_ignored(self):
+        # Written from mixed_train.csv by a version 2 writer that still had
+        # `fit --trace`: `--predictor rasturnat --kernel bridge --density --trace`.
+        payload = json.loads((DATA / "model_v2_trace.json").read_text())
+        assert (payload["version"], payload["trace"]) == (2, True)
+        loaded = load_model(DATA / "model_v2_trace.json")
+        self.assert_predicts_like_a_fresh_fit(loaded)
+        assert "trace" not in model_to_dict(loaded)
 
     def test_writes_version_2_without_indentation(self, tmp_path):
         path = tmp_path / "model.json"

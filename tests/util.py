@@ -246,7 +246,7 @@ def naive_reference_predict(
     tied = [label for label in labels if tos[label] >= best - best * REL_TIE_TOL]
     winner = tied[0]
     likelihoods = {label: tos[label] / total for label in labels}
-    return Prediction(dict(tos), likelihoods, winner, 1 if len(tied) > 1 else 0, None)
+    return Prediction(dict(tos), likelihoods, winner, 1 if len(tied) > 1 else 0)
 
 
 def _naive_kernel_value(kernel: Kernel, d: float) -> float:
