@@ -42,6 +42,10 @@ STANDARD_SPEC_SEED = 2024
 #: Fixed seed for the non-convergence counterexample spec.
 COUNTEREXAMPLE_SEED = 77
 
+#: Largest law ``make_spec`` builds: it materializes every attribute tuple
+#: and a dense tuple-by-label table, so a spec's size must stay bounded.
+MAX_LAW_TUPLES = 2**16
+
 REPORT_HEADER = "m,predictor,kernel,trial,accuracy,bayes_accuracy,regret"
 
 
@@ -140,6 +144,8 @@ def make_spec(
     cards, labels = tuple(int(c) for c in cardinalities), tuple(labels)
     if not cards or min(cards) < 1 or not labels:
         raise HarnessError("cardinalities must be positive integers and labels nonempty")
+    if math.prod(cards) > MAX_LAW_TUPLES:
+        raise HarnessError(f"a law of {math.prod(cards)} attribute tuples exceeds the limit of {MAX_LAW_TUPLES}")
     tuples = all_tuples(cards)
     index = {t: i for i, t in enumerate(tuples)}
     k = len(tuples)

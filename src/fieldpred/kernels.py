@@ -31,7 +31,7 @@ every almost-perfect entry combined (see ``certify_lead``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -99,13 +99,16 @@ def _grow(kind: str, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A distance kernel plus the table geometry it was built for."""
+    """A distance kernel plus the weight span it was built for.
+
+    The residue kinds derive ``adrez`` from ``mld`` (and the growth
+    function) so that eval(0)/eval(1) = mld; it is never set directly.
+    """
 
     kind: str
-    n_entries: int
     total_weight: float
     mld: float
-    adrez: float | None = None
+    adrez: float | None = field(init=False, default=None)
     grow_kind: str | None = None
     base: "Kernel | None" = None
     scale: float = 1.0
@@ -113,24 +116,34 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise KernelError(f"unknown kernel kind {self.kind!r}")
-        if self.n_entries < 1:
-            raise KernelError("kernel needs n_entries >= 1")
         if self.total_weight <= 0:
             raise KernelError("kernel needs total_weight > 0")
-        for name in ("mld", "adrez", "scale"):
+        for name in ("mld", "scale"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, float)) and np.isfinite(value)):
+            if not (isinstance(value, (int, float)) and np.isfinite(value)):
                 raise KernelError(f"kernel {name} must be a finite real, got {value!r}")
         if self.scale <= 0:
             raise KernelError("kernel scale must be positive")
-        if self.kind in _LEAD_KINDS and self.mld <= 1:
-            raise KernelError(f"{self.kind} needs mld > 1, got {self.mld}")
+        floor = 1 if self.kind in _LEAD_KINDS else 0
+        if self.mld <= floor:
+            raise KernelError(f"{self.kind} needs mld > {floor}, got {self.mld}")
         if self.kind == "spliced" and self.base is None:
             raise KernelError("spliced kernel needs a base kernel")
-        if self.kind in ("adj_pow_2", "inv_additive_residue") and self.adrez is None:
-            raise KernelError(f"{self.kind} kernel needs adrez")
-        if self.kind == "inv_additive_residue" and self.grow_kind not in GROWTH_KINDS:
-            raise KernelError(f"unknown growth function {self.grow_kind!r}")
+        if self.kind == "adj_pow_2":
+            object.__setattr__(self, "adrez", -(self.mld - 2.0) / (self.mld - 1.0))
+        elif self.kind == "inv_additive_residue":
+            if self.grow_kind not in GROWTH_KINDS:
+                raise KernelError(f"unknown growth function {self.grow_kind!r}")
+            g0 = float(_grow(self.grow_kind, np.float64(0.0)))
+            g1 = float(_grow(self.grow_kind, np.float64(1.0)))
+            object.__setattr__(self, "adrez", (g1 / self.mld - g0) / (1.0 - 1.0 / self.mld))
+        # Every kind is largest at d = 0; for the residue kinds this is also
+        # where a rounded-away residue drives the denominator to zero or below.
+        with np.errstate(all="ignore"):
+            sepm = float(self.evaluate(0.0))
+        if not (np.isfinite(sepm) and sepm > 0.0):
+            raise KernelError(f"{self.kind} kernel value at d = 0 is {sepm}, not finite and positive: "
+                              f"its denominator is nonpositive or mld {self.mld} is too large")
 
     def evaluate(self, d):
         """Kernel value at distance d (scalar or ndarray). No domain check."""
@@ -190,39 +203,23 @@ def make_kernel(kind: str, n_entries: int, total_weight: float, mld_override: fl
     ``mld_override`` replaces the default lead (the entry count) for the
     kinds that consume it; it must exceed 1.
     """
-    if kind not in KERNEL_KINDS:
-        raise KernelError(f"unknown kernel kind {kind!r}")
-    if not isinstance(n_entries, (int, np.integer)) or n_entries < 1:
-        raise KernelError("n_entries must be a positive integer")
-    if total_weight <= 0:
-        raise KernelError("total_weight must be positive")
-    if mld_override is not None and mld_override <= 1:
-        raise KernelError(f"mld_override must exceed 1, got {mld_override}")
-
-    if kind in ("adj_pow_2", "inv_additive_residue"):
-        mld = float(mld_override) if mld_override is not None else float(n_entries)
-        if mld <= 1:
-            raise KernelError(f"{kind} is degenerate for a single-entry table (lead {mld} <= 1)")
-        if kind == "adj_pow_2":
-            adrez = -(mld - 2.0) / (mld - 1.0)
-            return Kernel(kind, int(n_entries), float(total_weight), mld, adrez=adrez)
-        return inverse_additive_residue("pow_2", mld, int(n_entries), float(total_weight))
-
-    if kind in ("bridge", "decay_a", "decay_b", "spliced"):
-        if mld_override is not None:
-            mld = float(mld_override)
-        else:
-            # mld = 1 would flatten the kernel; a 1-row table still gets a
-            # strictly decreasing one.
-            mld = float(n_entries) if n_entries >= 2 else 2.0
-        if kind == "spliced":
-            return splice(make_kernel("pow_2", n_entries, total_weight), mld)
-        return Kernel(kind, int(n_entries), float(total_weight), mld)
-
-    # pow_2 / pow_e / gauss / newton: evaluation driven by the formula
-    # (newton reads its residue from mld, defaulting to the entry count).
-    mld = float(mld_override) if mld_override is not None else float(n_entries)
-    return Kernel(kind, int(n_entries), float(total_weight), mld)
+    if mld_override is not None:
+        if mld_override <= 1:
+            raise KernelError(f"mld_override must exceed 1, got {mld_override}")
+        mld = float(mld_override)
+    elif n_entries >= 2 or kind not in _LEAD_KINDS:
+        mld = float(n_entries)
+    elif kind in ("adj_pow_2", "inv_additive_residue"):
+        raise KernelError(f"{kind} is degenerate for a single-entry table (lead {float(n_entries)} <= 1)")
+    else:
+        # mld = 1 would flatten the kernel; a 1-row table still gets a
+        # strictly decreasing one.
+        mld = 2.0
+    if kind == "spliced":
+        return splice(make_kernel("pow_2", n_entries, total_weight), mld)
+    if kind == "inv_additive_residue":
+        return inverse_additive_residue("pow_2", mld, total_weight)
+    return Kernel(kind, float(total_weight), mld)
 
 
 def splice(base: Kernel, mld: float) -> Kernel:
@@ -231,41 +228,16 @@ def splice(base: Kernel, mld: float) -> Kernel:
     This grafts a convergence-grade lead onto any base shape: the spliced
     perfect/almost-perfect ratio is exactly mld.
     """
-    if mld is None or mld <= 1:
-        raise KernelError(f"splice needs mld > 1, got {mld}")
-    return Kernel(
-        "spliced",
-        base.n_entries,
-        base.total_weight,
-        float(mld),
-        base=base,
-    )
+    return Kernel("spliced", base.total_weight, mld, base=base)
 
 
-def inverse_additive_residue(grow_kind: str, mld: float, n_entries: int, total_weight: float) -> Kernel:
+def inverse_additive_residue(grow_kind: str, mld: float, total_weight: float) -> Kernel:
     """Kernel 1/(adrez + grow(d)) with adrez solved so the lead equals mld.
 
     Setting eval(0)/eval(1) = mld gives
     adrez = (grow(1)/mld - grow(0)) / (1 - 1/mld).
     """
-    if grow_kind not in GROWTH_KINDS:
-        raise KernelError(f"unknown growth function {grow_kind!r}")
-    if mld is None or mld <= 1:
-        raise KernelError(f"inverse_additive_residue needs mld > 1, got {mld}")
-    g0 = float(_grow(grow_kind, np.float64(0.0)))
-    g1 = float(_grow(grow_kind, np.float64(1.0)))
-    adrez = (g1 / mld - g0) / (1.0 - 1.0 / mld)
-    # grow is increasing, so the denominator is smallest at d = 0.
-    if adrez + g0 <= 0.0:
-        raise KernelError("residual drives denominator nonpositive on the distance domain")
-    return Kernel(
-        "inv_additive_residue",
-        int(n_entries),
-        float(total_weight),
-        float(mld),
-        adrez=adrez,
-        grow_kind=grow_kind,
-    )
+    return Kernel("inv_additive_residue", float(total_weight), mld, grow_kind=grow_kind)
 
 
 def eval_on_distance(kernel: Kernel, d):
@@ -304,8 +276,6 @@ def with_scale(kernel: Kernel, factor: float) -> Kernel:
 
 def kernel_to_dict(kernel: Kernel) -> dict:
     payload: dict = {"kind": kernel.kind, "mld": kernel.mld}
-    if kernel.adrez is not None:
-        payload["adrez"] = kernel.adrez
     if kernel.grow_kind is not None:
         payload["grow_kind"] = kernel.grow_kind
     if kernel.base is not None:
@@ -315,23 +285,24 @@ def kernel_to_dict(kernel: Kernel) -> dict:
     return payload
 
 
-def kernel_from_dict(payload: dict, n_entries: int, total_weight: float) -> Kernel:
-    """Rebuild a kernel from its descriptor. No refit: stored values are final."""
+def kernel_from_dict(payload: dict, total_weight: float) -> Kernel:
+    """Rebuild a kernel from its descriptor. No refit: the stored mld is final.
+
+    ``adrez`` is derived from mld; the key in older files is ignored.
+    """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise KernelError("kernel descriptor must be an object with a 'kind'")
     base = None
     if payload.get("base") is not None:
-        base = kernel_from_dict(payload["base"], n_entries, total_weight)
+        base = kernel_from_dict(payload["base"], total_weight)
     try:
         mld, scale = float(payload["mld"]), float(payload.get("scale", 1.0))
     except (TypeError, ValueError, OverflowError):
         raise KernelError("kernel mld and scale must be finite reals") from None
     return Kernel(
         kind=payload["kind"],
-        n_entries=int(n_entries),
         total_weight=float(total_weight),
         mld=mld,
-        adrez=payload.get("adrez"),
         grow_kind=payload.get("grow_kind"),
         base=base,
         scale=scale,

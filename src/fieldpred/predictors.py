@@ -163,6 +163,8 @@ def explain(model: FittedModel, query: Query) -> PredictionTrace:
 def _select_winner(scores: np.ndarray) -> tuple[int, int]:
     """Index of the winning outcome plus a 0/1 tie flag (band rule)."""
     best = float(scores.max())
+    if not math.isfinite(best):
+        raise PredictorError(f"outcome score overflows to {best}: the kernel's mld is too large for this table")
     tied = np.flatnonzero(scores >= best - best * REL_TIE_TOL)
     return int(tied[0]), (1 if tied.size > 1 else 0)
 
@@ -178,6 +180,8 @@ def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int) -> Prediction:
     labels = model.table.schema.outcome_labels
     total = tos.sum()
+    if not math.isfinite(total):
+        raise PredictorError(f"outcome scores sum to {total}: the kernel's mld is too large for this table")
     scores = {label: float(tos[k]) for k, label in enumerate(labels)}
     likelihoods = {label: float(tos[k] / total) for k, label in enumerate(labels)}
     return Prediction(scores, likelihoods, winner, tie_depth)
@@ -374,7 +378,7 @@ def model_from_dict(payload: dict) -> FittedModel:
         predictor = payload["predictor"]
         kernel = None
         if payload.get("kernel") is not None:
-            kernel = kernel_from_dict(payload["kernel"], table.n_entries, table.total_weight)
+            kernel = kernel_from_dict(payload["kernel"], table.total_weight)
         density = None
         if payload.get("density") is not None:
             density = _density_from_dict(payload["density"], table.n_entries)

@@ -56,7 +56,7 @@ def test_criterion_2_construction_equivalence():
     from fieldpred import inverse_additive_residue
 
     for m in (2, 5, 100):
-        built = inverse_additive_residue("pow_2", float(m), m, W)
+        built = inverse_additive_residue("pow_2", float(m), W)
         closed = make_kernel("adj_pow_2", m, W)
         adrez = -(m - 2.0) / (m - 1.0)
         assert built.adrez == pytest.approx(adrez, rel=1e-12)

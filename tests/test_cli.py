@@ -95,6 +95,13 @@ class TestFit:
         assert "adrez=-0.750000" in out
         assert "certified: true" in out
 
+    def test_adj_pow_2_past_float_precision_is_refused(self, train_file, capsys):
+        # mld - 1 rounds to mld, so the residue cancels 2^0 and eval(0) is infinite.
+        code = main(["fit", "--train", train_file, "--predictor", "rasturnat",
+                     "--kernel", "adj_pow_2", "--mld", "1e17"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_mld_rejected_off_rasturnat(self, train_file, capsys):
         code = main(
             ["fit", "--train", train_file, "--predictor", "delanga", "--mld", "5"]
@@ -135,6 +142,13 @@ class TestFit:
     pytest.param(lambda payload: payload["schema"]["attributes"][0].pop("name"), id="unnamed-attribute"),
     pytest.param(lambda payload: payload["kernel"].update(mld=None), id="null-mld"),
     pytest.param(lambda payload: payload["kernel"].update(mld=10**400), id="huge-mld"),
+    pytest.param(lambda payload: payload["kernel"].update(mld=0), id="zero-mld"),
+    pytest.param(lambda payload: payload["kernel"].update(mld=-1.0), id="negative-mld"),
+    pytest.param(lambda payload: payload["kernel"].update(kind="adj_pow_2", mld=1e17, adrez=-0.75),
+                 id="adj-pow-2-mld-past-float-precision"),
+    pytest.param(lambda payload: payload["kernel"].update(kind="inv_additive_residue", grow_kind="pow_2",
+                                                          mld=1e17, adrez=-0.75),
+                 id="residue-mld-past-float-precision"),
     pytest.param(lambda payload: payload.update(predictor="delanga", kernel=None, density={
         "tss": [1.0] * 5, "dcf": [1.0] * 5, "sts": 5.0, "stavg": 1.0}), id="density-without-kernel"),
 ])
@@ -233,6 +247,47 @@ def test_non_utf8_file_is_an_input_error(flag, train_file, spec_file, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{bad} is not UTF-8 text" in err
+
+
+def test_oversized_spec_law_is_an_input_error(tmp_path, capsys):
+    # 64 million tuples: rejected before any of them is built.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"version": 1, "cardinalities": [400, 400, 400], "labels": ["a", "b"],
+                                "attribute_distribution": "uniform", "conditionals": []}))
+    assert main(["converge", "--spec", str(path), "--arms", "delanga", "--schedule", "4",
+                 "--out", str(tmp_path / "report.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("query", ["blue,3.0,square", "red,1.5,round"])
+def test_overflowing_field_is_an_input_error(query, tmp_path, capsys):
+    # Two entries at d = 0 with newton's value 1e308 overflow one field
+    # (blue,3.0,square: both "no") or the sum of two (red,1.5,round).
+    path = tmp_path / "model.json"
+    assert main(["fit", "--train", str(DATA / "mixed_train.csv"), "--predictor", "rasturnat",
+                 "--kernel", "newton", "--mld", "1e308", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", str(path), "--query", query]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["adj_pow_2", "inv_additive_residue"])
+def test_stored_residue_is_ignored(kind, tmp_path, capsys):
+    # Older files carry adrez; the reader derives it from mld instead.
+    path = tmp_path / "model.json"
+    assert main(["fit", "--train", str(DATA / "mixed_train.csv"), "--predictor", "rasturnat",
+                 "--kernel", kind, "--out", str(path)]) == 0
+    argv = ["predict", "--model", str(path), "--query", "red,1.5,round", "--query", "blue,3.0,square"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    payload = json.loads(path.read_text())
+    assert "adrez" not in payload["kernel"]
+    for adrez in (-1.0, -3.0, "x"):
+        payload["kernel"]["adrez"] = adrez
+        path.write_text(json.dumps(payload))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestPredict:
@@ -446,7 +501,12 @@ def _valid_documents() -> dict:
     """One valid document per kind, with the argv that reads it from ``{path}``."""
     table = load_table(TRAIN_CSV.encode())
     predict_argv = ["predict", "--model", "{path}", "--query", "red,1.5"]
+    # Older files also stored the adj_pow_2 residue, which the reader ignores.
+    adj_model = fit(table, "rasturnat", "adj_pow_2")
+    adj = model_to_dict(adj_model)
+    adj["kernel"]["adrez"] = adj_model.kernel.adrez
     return {
+        "model-adj-pow-2": (adj, predict_argv),
         "model-density": (model_to_dict(fit(table, "rasturnat", "newton", density=True)), predict_argv),
         "model-spliced": (model_to_dict(fit(table, "rasturnat", "spliced")), predict_argv),
         "model-v1": (json.loads((DATA / "model_v1_mixed_density.json").read_text()),
@@ -472,7 +532,8 @@ def _nodes(value, path=()):
 
 _HUGE = "__huge_literal__"
 _SWAPS = {"null": None, "true": True, "string": "x", "float": 0.5, "int": 3, "list": [], "object": {},
-          "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "1e400": _HUGE}
+          "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "1e400": _HUGE,
+          "zero": 0, "-1.0": -1.0}
 
 
 def _corrupt(payload, path, op) -> str:

@@ -152,7 +152,7 @@ class TestCertification:
 
 class TestInverseAdditiveResidue:
     def test_pow_2_growth_reproduces_adj_pow_2(self):
-        built = inverse_additive_residue("pow_2", 5.0, 5, W)
+        built = inverse_additive_residue("pow_2", 5.0, W)
         closed = make_kernel("adj_pow_2", 5, W)
         assert built.adrez == pytest.approx(-0.75, rel=1e-15)
         for d in range(7):
@@ -161,25 +161,25 @@ class TestInverseAdditiveResidue:
             )
 
     def test_square_growth_reproduces_newton(self):
-        built = inverse_additive_residue("square", 5.0, 4, W)
+        built = inverse_additive_residue("square", 5.0, W)
         newton = make_kernel("newton", 4, W)
         for d in (0.0, 1.0, 2.0, 3.0):
             assert float(built.evaluate(d)) == float(newton.evaluate(d))
 
     def test_lead_ratio_is_mld(self):
         for grow in ("pow_2", "pow_e", "square", "linear"):
-            k = inverse_additive_residue(grow, 7.0, 10, W)
+            k = inverse_additive_residue(grow, 7.0, W)
             assert float(k.evaluate(0.0)) / float(k.evaluate(1.0)) == pytest.approx(
                 7.0, rel=1e-12
             )
 
     def test_unknown_growth_rejected(self):
         with pytest.raises(KernelError, match="growth"):
-            inverse_additive_residue("cubic", 5.0, 4, W)
+            inverse_additive_residue("cubic", 5.0, W)
 
     def test_degenerate_denominator_rejected(self):
         with pytest.raises(KernelError, match="denominator"):
-            inverse_additive_residue("pow_e", 1e17, 10, W)
+            inverse_additive_residue("pow_e", 1e17, W)
 
 
 class TestErrors:
@@ -288,7 +288,7 @@ def test_scaling_multiplies_pointwise(kind, m, factor):
 def test_descriptor_round_trip(kind, m, scale):
     k = with_scale(make_kernel(kind, m, W), scale)
     payload = json.loads(json.dumps(kernel_to_dict(k)))
-    back = kernel_from_dict(payload, m, W)
+    back = kernel_from_dict(payload, W)
     assert back.kind == k.kind
     assert back.mld == k.mld
     assert back.adrez == k.adrez
@@ -300,7 +300,7 @@ def test_descriptor_round_trip(kind, m, scale):
 
 def test_descriptor_round_trip_nested_spliced():
     k = splice(make_kernel("gauss", 9, W), 9.0)
-    back = kernel_from_dict(kernel_to_dict(k), 9, W)
+    back = kernel_from_dict(kernel_to_dict(k), W)
     assert back.base.kind == "gauss"
     d = np.linspace(0.0, W, 9)
     assert np.array_equal(back.evaluate(d), k.evaluate(d))
@@ -308,6 +308,19 @@ def test_descriptor_round_trip_nested_spliced():
 
 def test_descriptor_rejects_garbage():
     with pytest.raises(KernelError):
-        kernel_from_dict({"mld": 3.0}, 4, W)
+        kernel_from_dict({"mld": 3.0}, W)
     with pytest.raises(KernelError):
-        kernel_from_dict({"kind": "nope", "mld": 3.0}, 4, W)
+        kernel_from_dict({"kind": "nope", "mld": 3.0}, W)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_kind, table_size, st.floats(0.0, 308.0, exclude_min=True))
+def test_any_lead_gives_a_finite_positive_perfect_match_or_an_error(kind, m, log_mld):
+    # Near mld = 2^53 the residue kinds round their residue onto -grow(0);
+    # such a kernel must be refused, never built with eval(0) = inf.
+    try:
+        k = make_kernel(kind, m, W, mld_override=10.0**log_mld)
+    except KernelError:
+        return
+    sepm = float(k.evaluate(0.0))
+    assert math.isfinite(sepm) and sepm > 0.0
