@@ -30,10 +30,6 @@ CONTINUOUS = "continuous"
 
 SCHEMA_FILE_VERSION = 1
 
-#: Header used for the synthesized outcome column when a table is written
-#: back to CSV (the original header name is not retained by Schema).
-OUTCOME_HEADER = "outcome"
-
 
 def _parse_finite(cell: str) -> float | None:
     """Parse a cell as a finite real number, or return None."""
@@ -305,31 +301,6 @@ def _parse_continuous(cells: Sequence[str]) -> np.ndarray:
     return data
 
 
-def column_ranges(table: TrainingTable) -> dict[str, float]:
-    """Observed max-min width per continuous column (0.0 when constant)."""
-    return {
-        spec.name: spec.range_width
-        for spec in table.schema.attributes
-        if spec.kind == CONTINUOUS
-    }
-
-
-def infer_schema(raw_rows: Sequence[Sequence[str]], header: Sequence[str]) -> Schema:
-    """Derive a schema from raw text rows; the last column is the outcome.
-
-    A column is continuous when every cell parses as a finite real,
-    otherwise it is categorical with categories in first-seen order.
-    All weights default to 1.0. Deterministic: same rows, same schema.
-    """
-    if not raw_rows:
-        raise DataError("empty input: cannot infer a schema from zero rows")
-    if len(header) < 2:
-        raise DataError("need at least one attribute column and one outcome column")
-    columns = list(zip(*raw_rows))
-    attrs = tuple(_infer_column(name, cells)[0] for name, cells in zip(header[:-1], columns))
-    return Schema(attrs, tuple(dict.fromkeys(columns[-1])))
-
-
 def _infer_column(name: str, cells: Sequence[str]) -> tuple[AttributeSpec, np.ndarray | None]:
     """The column's spec, plus its floats when it is continuous."""
     try:
@@ -348,6 +319,14 @@ def _read_text(source) -> str:
     except UnicodeDecodeError as exc:
         name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
         raise DataError(f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _read_json(source, error_cls: type[Exception], what: str):
+    """The JSON document in ``source``; malformed or too deeply nested text raises ``error_cls``."""
+    try:
+        return json.loads(_read_text(source))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error_cls(f"invalid {what} file: {exc}") from None
 
 
 def load_table(source, schema: Schema | None = None, outcome_column: str | None = None) -> TrainingTable:
@@ -446,17 +425,6 @@ def validate_query(raw_cells: Sequence[str], schema: Schema) -> Query:
     return Query(tuple(typed))
 
 
-def serialize_table(table: TrainingTable) -> bytes:
-    """Write the table back to CSV bytes; floats keep full round-trip precision."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([spec.name for spec in table.schema.attributes] + [OUTCOME_HEADER])
-    for row, outcome in zip(table.values, table.outcomes):
-        cells = [cell if isinstance(cell, str) else repr(cell) for cell in row]
-        writer.writerow(cells + [table.schema.outcome_labels[outcome]])
-    return buf.getvalue().encode("utf-8")
-
-
 def schema_to_dict(schema: Schema) -> dict:
     attrs = []
     for spec in schema.attributes:
@@ -499,13 +467,5 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-def save_schema(schema: Schema, path) -> None:
-    Path(path).write_text(json.dumps(schema_to_dict(schema), indent=2) + "\n", encoding="utf-8")
-
-
 def load_schema(path) -> Schema:
-    try:
-        payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid schema file: {exc}") from None
-    return schema_from_dict(payload)
+    return schema_from_dict(_read_json(path, DataError, "schema"))

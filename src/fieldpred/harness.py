@@ -14,8 +14,6 @@ reordering and parallelism.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -26,9 +24,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dataset import (CATEGORICAL, AttributeSpec, Query, Schema, TrainingTable, _is_finite_real, _is_int, _is_str_list,
-                      _read_text)
+                      _read_json)
 from .errors import HarnessError
-from .predictors import FittedModel, fit, predict
+from .kernels import KERNEL_KINDS
+from .predictors import PREDICTOR_KINDS, FittedModel, fit, predict
 
 SPEC_FILE_VERSION = 1
 
@@ -281,9 +280,13 @@ class ConvergenceReportRow:
 
 def _check_arm(arm: Sequence) -> tuple[str, str | None]:
     predictor, kernel = (arm[0], arm[1]) if len(arm) == 2 else (arm[0], None)
+    if predictor not in PREDICTOR_KINDS:
+        raise HarnessError(f"unknown predictor {predictor!r} in arm")
     if predictor == "rasturnat":
         if kernel is None:
             raise HarnessError("rasturnat arm needs a kernel")
+        if kernel not in KERNEL_KINDS:
+            raise HarnessError(f"unknown kernel kind {kernel!r} in arm")
     elif kernel is not None:
         raise HarnessError(f"kernel named for {predictor} arm; kernel is a rasturnat parameter")
     return predictor, kernel
@@ -355,25 +358,6 @@ def write_report(rows: Sequence[ConvergenceReportRow], path) -> None:
     Path(path).write_text(report_to_csv(rows), encoding="utf-8")
 
 
-def read_report(path) -> list[ConvergenceReportRow]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append(
-            ConvergenceReportRow(
-                m=int(rec["m"]),
-                predictor=rec["predictor"],
-                kernel=rec["kernel"],
-                trial=int(rec["trial"]),
-                accuracy=float(rec["accuracy"]),
-                bayes_accuracy=float(rec["bayes_accuracy"]),
-                regret=float(rec["regret"]),
-            )
-        )
-    return rows
-
-
 def summarize_final_regret(rows: Sequence[ConvergenceReportRow]) -> list[tuple[str, int, float]]:
     """Mean regret at the largest m, per arm, in first-seen arm order."""
     if not rows:
@@ -389,26 +373,6 @@ def summarize_final_regret(rows: Sequence[ConvergenceReportRow]) -> list[tuple[s
         if r.m == final_m:
             regrets[arm].append(r.regret)
     return [(arm, final_m, math.fsum(regrets[arm]) / len(regrets[arm])) for arm in order]
-
-
-def expected_tos_rates(
-    spec: SyntheticSpec, query_tuple: Sequence[str], weight_by_distance: Sequence[float]
-) -> np.ndarray:
-    """Per-label expected per-row vote at a query point.
-
-    Entry i contributes weight w(d) in expectation, where d is the Hamming
-    distance from the query tuple; the expected tos after m rows is m times
-    this rate. Used to reason about asymptotic winners analytically.
-    """
-    q = tuple(str(v) for v in query_tuple)
-    spec.tuple_index(q)
-    rates = np.zeros(len(spec.labels), dtype=np.float64)
-    for i, t in enumerate(spec.tuples):
-        if spec.probs[i] == 0.0:
-            continue
-        d = sum(1 for a, b in zip(q, t) if a != b)
-        rates += spec.probs[i] * spec.conditionals[i] * weight_by_distance[d]
-    return rates
 
 
 def spec_to_dict(spec: SyntheticSpec) -> dict:
@@ -471,11 +435,7 @@ def save_spec(spec: SyntheticSpec, path) -> None:
 
 
 def load_spec(path) -> SyntheticSpec:
-    try:
-        payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise HarnessError(f"invalid spec file: {exc}") from None
-    return spec_from_dict(payload)
+    return spec_from_dict(_read_json(path, HarnessError, "spec"))
 
 
 def standard_spec(seed: int = STANDARD_SPEC_SEED) -> SyntheticSpec:

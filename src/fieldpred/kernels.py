@@ -38,23 +38,15 @@ import numpy as np
 
 from .errors import KernelError
 
-KERNEL_KINDS = (
-    "pow_2",
-    "pow_e",
-    "gauss",
-    "bridge",
-    "spliced",
-    "inv_additive_residue",
-    "adj_pow_2",
-    "newton",
-    "decay_a",
-    "decay_b",
-)
-
 GROWTH_KINDS = ("pow_2", "pow_e", "square", "linear")
 
 #: Kinds whose lead is set directly by mld; these require mld > 1.
 _LEAD_KINDS = frozenset({"bridge", "spliced", "adj_pow_2", "inv_additive_residue", "decay_a", "decay_b"})
+
+#: Kinds with no lead at all: their shape never reads mld.
+_LEADLESS_KINDS = frozenset({"pow_2", "pow_e", "gauss"})
+
+_SPLICED_BASE = "a spliced kernel's base cannot itself be spliced"
 
 KERNEL_FORMULAS = {
     "pow_2": "2^(-d)",
@@ -68,6 +60,8 @@ KERNEL_FORMULAS = {
     "decay_a": "mld^(-(1/1 + 1/2 + ... + 1/d))",
     "decay_b": "mld^(-(1/1 + 1/4 + ... + 1/d^2))",
 }
+
+KERNEL_KINDS = tuple(KERNEL_FORMULAS)
 
 
 @lru_cache(maxsize=None)
@@ -92,9 +86,7 @@ def _grow(kind: str, d: np.ndarray) -> np.ndarray:
         return np.exp(d)
     if kind == "square":
         return d * d
-    if kind == "linear":
-        return np.asarray(d, dtype=np.float64)
-    raise KernelError(f"unknown growth function {kind!r}")
+    return np.asarray(d, dtype=np.float64)  # linear
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,8 @@ class Kernel:
 
     The residue kinds derive ``adrez`` from ``mld`` (and the growth
     function) so that eval(0)/eval(1) = mld; it is never set directly.
+    ``grow_kind`` belongs to inv_additive_residue alone and ``base`` to
+    spliced alone; a spliced base is never itself spliced.
     """
 
     kind: str
@@ -116,6 +110,9 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise KernelError(f"unknown kernel kind {self.kind!r}")
+        for name, owner in (("grow_kind", "inv_additive_residue"), ("base", "spliced")):
+            if getattr(self, name) is not None and self.kind != owner:
+                raise KernelError(f"{self.kind} kernel takes no {name}; only {owner} reads one")
         if self.total_weight <= 0:
             raise KernelError("kernel needs total_weight > 0")
         for name in ("mld", "scale"):
@@ -127,8 +124,11 @@ class Kernel:
         floor = 1 if self.kind in _LEAD_KINDS else 0
         if self.mld <= floor:
             raise KernelError(f"{self.kind} needs mld > {floor}, got {self.mld}")
-        if self.kind == "spliced" and self.base is None:
-            raise KernelError("spliced kernel needs a base kernel")
+        if self.kind == "spliced":
+            if self.base is None:
+                raise KernelError("spliced kernel needs a base kernel")
+            if self.base.kind == "spliced":
+                raise KernelError(_SPLICED_BASE)
         if self.kind == "adj_pow_2":
             object.__setattr__(self, "adrez", -(self.mld - 2.0) / (self.mld - 1.0))
         elif self.kind == "inv_additive_residue":
@@ -200,10 +200,12 @@ class LeadCertificate:
 def make_kernel(kind: str, n_entries: int, total_weight: float, mld_override: float | None = None) -> Kernel:
     """Build a kernel for a table of ``n_entries`` rows and the given weight span.
 
-    ``mld_override`` replaces the default lead (the entry count) for the
-    kinds that consume it; it must exceed 1.
+    ``mld_override`` replaces the default lead (the entry count); it must
+    exceed 1, and pow_2, pow_e and gauss, which have no lead, refuse it.
     """
     if mld_override is not None:
+        if kind in _LEADLESS_KINDS:
+            raise KernelError(f"{kind} kernel has no lead, so it takes no mld_override")
         if mld_override <= 1:
             raise KernelError(f"mld_override must exceed 1, got {mld_override}")
         mld = float(mld_override)
@@ -238,19 +240,6 @@ def inverse_additive_residue(grow_kind: str, mld: float, total_weight: float) ->
     adrez = (grow(1)/mld - grow(0)) / (1 - 1/mld).
     """
     return Kernel("inv_additive_residue", float(total_weight), mld, grow_kind=grow_kind)
-
-
-def eval_on_distance(kernel: Kernel, d):
-    """Public evaluation with the domain check 0 <= d <= total_weight."""
-    arr = np.asarray(d, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > kernel.total_weight):
-        raise KernelError(
-            f"distance out of range: expected 0 <= d <= {kernel.total_weight}, got {d!r}"
-        )
-    out = kernel.evaluate(arr)
-    if np.ndim(d) == 0:
-        return float(out)
-    return out
 
 
 def certify_lead(kernel: Kernel, n_entries: int) -> LeadCertificate:
@@ -292,9 +281,12 @@ def kernel_from_dict(payload: dict, total_weight: float) -> Kernel:
     """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise KernelError("kernel descriptor must be an object with a 'kind'")
-    base = None
-    if payload.get("base") is not None:
-        base = kernel_from_dict(payload["base"], total_weight)
+    base = payload.get("base")
+    if base is not None and payload["kind"] == "spliced":
+        # Checked before recursing, so a spliced chain of any depth stops here.
+        if isinstance(base, dict) and base.get("kind") == "spliced":
+            raise KernelError(_SPLICED_BASE)
+        base = kernel_from_dict(base, total_weight)
     try:
         mld, scale = float(payload["mld"]), float(payload.get("scale", 1.0))
     except (TypeError, ValueError, OverflowError):

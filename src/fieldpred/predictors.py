@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real, _is_int, _read_text,
+from .dataset import (CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real, _is_int, _read_json,
                       schema_from_dict, schema_to_dict)
 from .errors import PredictorError
 from .kernels import Kernel, kernel_from_dict, kernel_to_dict, make_kernel
@@ -130,7 +130,7 @@ def fit(
         return FittedModel(table, predictor_kind)
 
     if kernel_kind is None:
-        raise PredictorError("rasturnat requires a kernel kind")
+        raise PredictorError("rasturnat requires a kernel kind (--kernel)")
     kernel = make_kernel(kernel_kind, table.n_entries, table.total_weight, mld_override)
     density_model = compute_density_model(table, kernel) if density else None
     return FittedModel(table, "rasturnat", kernel=kernel, density=density_model)
@@ -397,8 +397,4 @@ def save_model(model: FittedModel, path) -> None:
 
 def load_model(path) -> FittedModel:
     """Read a model file back; no refitting happens here."""
-    try:
-        payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise PredictorError(f"invalid model file: {exc}") from None
-    return model_from_dict(payload)
+    return model_from_dict(_read_json(path, PredictorError, "model"))

@@ -16,7 +16,6 @@ from fieldpred import (
     compute_density_model,
     counterexample_spec,
     evaluate_accuracy,
-    expected_tos_rates,
     fit,
     generate_synthetic,
     make_kernel,
@@ -32,7 +31,7 @@ from fieldpred.harness import all_tuples, generate_point_test
 from fieldpred.kernels import KERNEL_KINDS
 from fieldpred.predictors import FittedModel
 
-from .util import naive_reference_predict, random_categorical_instance, random_continuous_instance
+from .util import expected_tos_rates, naive_reference_predict, random_categorical_instance, random_continuous_instance
 
 CERTIFIED_KINDS = ("bridge", "adj_pow_2", "newton", "spliced", "decay_a", "decay_b")
 UNCERTIFIED_KINDS = ("pow_2", "pow_e", "gauss")

@@ -102,6 +102,13 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("kind", ["pow_2", "pow_e", "gauss"])
+    def test_mld_refused_for_kinds_without_a_lead(self, kind, train_file, capsys):
+        code = main(["fit", "--train", train_file, "--predictor", "rasturnat", "--kernel", kind, "--mld", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_mld_rejected_off_rasturnat(self, train_file, capsys):
         code = main(
             ["fit", "--train", train_file, "--predictor", "delanga", "--mld", "5"]
@@ -122,6 +129,14 @@ class TestFit:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+
+
+def _spliced_chain(depth: int) -> dict:
+    """A kernel descriptor of ``depth`` spliced kernels, each the base of the one above."""
+    kernel = {"kind": "pow_2", "mld": 5.0}
+    for _ in range(depth):
+        kernel = {"kind": "spliced", "mld": 5.0, "base": kernel}
+    return kernel
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -151,6 +166,11 @@ class TestFit:
                  id="residue-mld-past-float-precision"),
     pytest.param(lambda payload: payload.update(predictor="delanga", kernel=None, density={
         "tss": [1.0] * 5, "dcf": [1.0] * 5, "sts": 5.0, "stavg": 1.0}), id="density-without-kernel"),
+    pytest.param(lambda payload: payload["kernel"].update(kind="pow_2", grow_kind="pow_2"), id="grow-kind-on-pow-2"),
+    pytest.param(lambda payload: payload["kernel"].update(kind="bridge", base={"kind": "gauss", "mld": 5.0}),
+                 id="base-on-bridge"),
+    *(pytest.param(lambda payload, depth=depth: payload.update(kernel=_spliced_chain(depth)),
+                   id=f"spliced-chain-{depth}") for depth in (2, 18, 900)),
 ])
 def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -266,9 +286,26 @@ def test_overflowing_field_is_an_input_error(query, tmp_path, capsys):
     path = tmp_path / "model.json"
     assert main(["fit", "--train", str(DATA / "mixed_train.csv"), "--predictor", "rasturnat",
                  "--kernel", "newton", "--mld", "1e308", "--out", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["predict", "--model", str(path), "--query", query]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    # A fresh process, because pytest would catch numpy's warnings before stderr.
+    proc = subprocess.run([sys.executable, "-m", "fieldpred", "predict", "--model", str(path), "--query", query],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--model", "--schema", "--spec"])
+def test_deeply_nested_document_is_an_input_error(flag, train_file, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "--model": ["predict", "--model", str(path), "--query", "red,1.5"],
+        "--schema": ["fit", "--train", train_file, "--predictor", "delanga", "--schema", str(path)],
+        "--spec": ["converge", "--spec", str(path), "--arms", "delanga", "--schedule", "5",
+                   "--out", str(tmp_path / "report.csv")],
+    }[flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["adj_pow_2", "inv_additive_residue"])
@@ -434,6 +471,14 @@ class TestConverge:
         captured = capsys.readouterr()
         assert code == 1
         assert "rasturnat" in captured.err
+
+    @pytest.mark.parametrize("arms", ["delanga,rasturnat:nope", "delanga,centroid"])
+    def test_arms_are_checked_before_any_arm_runs(self, arms, spec_file, tmp_path, capsys):
+        code = main(["converge", "--spec", spec_file, "--arms", arms, "--schedule", "5",
+                     "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "running arm" not in err
 
 
 class TestKernels:

@@ -9,13 +9,12 @@ from fieldpred import (
     Query,
     Schema,
     TrainingTable,
-    column_ranges,
-    infer_schema,
     load_table,
-    serialize_table,
     validate_query,
 )
 from fieldpred.dataset import schema_from_dict, schema_to_dict
+
+from .util import serialize_table
 
 CSV_MIXED = b"""color,size,label
 red,1.5,yes
@@ -37,25 +36,22 @@ def test_load_table_basic():
 
 
 def test_infer_first_seen_order_is_deterministic():
-    rows = [["b", "x", "1"], ["a", "y", "0"], ["b", "x", "1"]]
-    header = ["c1", "c2", "out"]
-    s1 = infer_schema(rows, header)
-    s2 = infer_schema(rows, header)
+    text = b"c1,c2,out\nb,x,1\na,y,0\nb,x,1\n"
+    s1 = load_table(text).schema
+    s2 = load_table(text).schema
     assert s1 == s2
     assert s1.attributes[0].categories == ("b", "a")
     assert s1.outcome_labels == ("1", "0")
 
 
 def test_infer_continuous_requires_all_cells_numeric():
-    rows = [["1.5", "2", "y"], ["oops", "3", "n"]]
-    schema = infer_schema(rows, ["a", "b", "out"])
+    schema = load_table(b"a,b,out\n1.5,2,y\noops,3,n\n").schema
     assert schema.attributes[0].kind == "categorical"
     assert schema.attributes[1].kind == "continuous"
 
 
 def test_infer_rejects_non_finite_numerics():
-    rows = [["inf", "y"], ["2.0", "n"]]
-    schema = infer_schema(rows, ["a", "out"])
+    schema = load_table(b"a,out\ninf,y\n2.0,n\n").schema
     assert schema.attributes[0].kind == "categorical"
 
 
@@ -161,11 +157,11 @@ def test_quoted_cells_round_trip():
 def test_column_ranges_examples():
     schema = Schema((AttributeSpec("v", "continuous"),), ("x", "y"))
     table = TrainingTable(schema, [(2.0,), (7.0,), (4.5,)], [0, 1, 0])
-    assert column_ranges(table) == {"v": 5.0}
+    assert table.schema.attributes[0].range_width == 5.0
     constant = TrainingTable(schema, [(3.0,), (3.0,)], [0, 1])
-    assert column_ranges(constant) == {"v": 0.0}
+    assert constant.schema.attributes[0].range_width == 0.0
     single = TrainingTable(schema, [(8.25,)], [0])
-    assert column_ranges(single) == {"v": 0.0}
+    assert single.schema.attributes[0].range_width == 0.0
 
 
 def test_column_ranges_invariant_under_row_permutation():
@@ -177,11 +173,11 @@ def test_column_ranges_invariant_under_row_permutation():
     )
     rows = [tuple(float(v) for v in row) for row in values]
     outcomes = [0] * 12
-    base = column_ranges(TrainingTable(schema, rows, outcomes))
+    base = [a.range_width for a in TrainingTable(schema, rows, outcomes).schema.attributes]
     for _ in range(5):
         perm = rng.permutation(12)
         shuffled = TrainingTable(schema, [rows[i] for i in perm], outcomes)
-        assert column_ranges(shuffled) == base
+        assert [a.range_width for a in shuffled.schema.attributes] == base
 
 
 def test_serialize_round_trip_bit_exact_continuous():

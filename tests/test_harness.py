@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -13,7 +15,6 @@ from fieldpred import (
     bayes_optimal,
     counterexample_spec,
     evaluate_accuracy,
-    expected_tos_rates,
     fit,
     generate_synthetic,
     load_spec,
@@ -30,12 +31,11 @@ from fieldpred.harness import (
     REPORT_HEADER,
     all_tuples,
     generate_point_test,
-    read_report,
     report_to_csv,
 )
 from fieldpred.kernels import KERNEL_KINDS
 
-from .util import naive_reference_predict, per_row_accuracy, random_categorical_instance
+from .util import expected_tos_rates, naive_reference_predict, per_row_accuracy, random_categorical_instance
 
 
 def tiny_spec(seed=9, p_plus=0.8):
@@ -379,13 +379,13 @@ class TestReportFiles:
         write_report(rows, path)
         text = path.read_text()
         assert text.splitlines()[0] == REPORT_HEADER
-        back = read_report(path)
-        assert [(r.m, r.predictor, r.kernel, r.trial) for r in back] == [
+        back = list(csv.DictReader(io.StringIO(text)))
+        assert [(int(r["m"]), r["predictor"], r["kernel"], int(r["trial"])) for r in back] == [
             (r.m, r.predictor, r.kernel, r.trial) for r in rows
         ]
         for a, b in zip(back, rows):
-            assert a.accuracy == pytest.approx(b.accuracy, abs=1e-6)
-            assert a.regret == pytest.approx(b.regret, abs=1e-6)
+            assert float(a["accuracy"]) == pytest.approx(b.accuracy, abs=1e-6)
+            assert float(a["regret"]) == pytest.approx(b.regret, abs=1e-6)
 
     def test_six_decimal_rendering(self):
         row = ConvergenceReportRow(

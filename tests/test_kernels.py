@@ -10,7 +10,6 @@ from fieldpred import (
     KERNEL_KINDS,
     KernelError,
     certify_lead,
-    eval_on_distance,
     inverse_additive_residue,
     make_kernel,
     splice,
@@ -203,14 +202,10 @@ class TestErrors:
         with pytest.raises(KernelError):
             splice(base, 1.0)
 
-    def test_eval_domain_checked(self):
-        k = make_kernel("bridge", 10, W)
-        with pytest.raises(KernelError, match="out of range"):
-            eval_on_distance(k, -0.5)
-        with pytest.raises(KernelError, match="out of range"):
-            eval_on_distance(k, W + 1e-9)
-        assert eval_on_distance(k, 0.0) == 1.0
-        assert eval_on_distance(k, W) > 0.0
+    def test_spliced_base_cannot_be_spliced(self):
+        once = splice(make_kernel("pow_2", 4, W), 4.0)
+        with pytest.raises(KernelError, match="spliced"):
+            splice(once, 4.0)
 
     def test_scale_must_be_positive(self):
         k = make_kernel("bridge", 10, W)

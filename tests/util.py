@@ -7,9 +7,12 @@ something that cannot share its bugs.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from fieldpred import (
     Prediction,
     Query,
     Schema,
+    SyntheticSpec,
     TrainingTable,
     predict,
 )
@@ -291,3 +295,39 @@ def _naive_kernel_value(kernel: Kernel, d: float) -> float:
     else:  # pragma: no cover
         raise HarnessError(f"unknown kernel kind {kind!r}")
     return value * kernel.scale
+
+
+#: Header used for the synthesized outcome column when a table is written
+#: back to CSV (the original header name is not retained by Schema).
+OUTCOME_HEADER = "outcome"
+
+
+def serialize_table(table: TrainingTable) -> bytes:
+    """Write the table back to CSV bytes; floats keep full round-trip precision."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([spec.name for spec in table.schema.attributes] + [OUTCOME_HEADER])
+    for row, outcome in zip(table.values, table.outcomes):
+        cells = [cell if isinstance(cell, str) else repr(cell) for cell in row]
+        writer.writerow(cells + [table.schema.outcome_labels[outcome]])
+    return buf.getvalue().encode("utf-8")
+
+
+def expected_tos_rates(
+    spec: SyntheticSpec, query_tuple: Sequence[str], weight_by_distance: Sequence[float]
+) -> np.ndarray:
+    """Per-label expected per-row vote at a query point.
+
+    Entry i contributes weight w(d) in expectation, where d is the Hamming
+    distance from the query tuple; the expected tos after m rows is m times
+    this rate. Used to reason about asymptotic winners analytically.
+    """
+    q = tuple(str(v) for v in query_tuple)
+    spec.tuple_index(q)
+    rates = np.zeros(len(spec.labels), dtype=np.float64)
+    for i, t in enumerate(spec.tuples):
+        if spec.probs[i] == 0.0:
+            continue
+        d = sum(1 for a, b in zip(q, t) if a != b)
+        rates += spec.probs[i] * spec.conditionals[i] * weight_by_distance[d]
+    return rates
