@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -107,8 +108,8 @@ class Schema:
             raise DataError("schema needs at least one outcome label")
         if len(set(self.outcome_labels)) != len(self.outcome_labels):
             raise DataError("outcome labels must be unique")
-        if self.attributes and self.total_weight <= 0:
-            raise DataError("total attribute weight must be positive")
+        if self.attributes and not 0 < self.total_weight < math.inf:
+            raise DataError("total attribute weight must be finite and positive")
 
     @property
     def n_attributes(self) -> int:
@@ -329,22 +330,56 @@ def _read_json(source, error_cls: type[Exception], what: str):
         raise error_cls(f"invalid {what} file: {exc}") from None
 
 
-def load_table(source, schema: Schema | None = None, outcome_column: str | None = None) -> TrainingTable:
-    """Load a CSV (header row, outcome column last unless named) into a table.
+def _dedupe(items: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct items in first-seen order, each item's index among them,
+    and the position where each distinct item first appears."""
+    index = {item: u for u, item in enumerate(dict.fromkeys(items))}
+    line_of = np.fromiter(map(index.__getitem__, items), dtype=np.intp, count=len(items))
+    # Indices are handed out in first-seen order, so an item first appears
+    # exactly where the running maximum index grows.
+    return list(index), line_of, np.flatnonzero(np.diff(np.maximum.accumulate(line_of), prepend=-1))
 
-    When ``schema`` is omitted it is inferred from the data. Cells are
-    typed and coded column by column. Rejected with line-numbered
-    diagnostics that name the first bad cell in file order: ragged rows,
-    empty cells, unparseable or non-finite continuous cells, categories or
-    outcome labels outside an explicit schema.
+
+def _split_csv(text: str) -> tuple[list[str], list[Sequence], np.ndarray, np.ndarray]:
+    """The header, the columns of the distinct data lines in first-seen order,
+    each data line's distinct index (``line_of``), and the data row where
+    each distinct line first appears (``first_row``).
+
+    Text with no quote and no CR, whose distinct lines each hold as many
+    cells as the header, is split on newlines and commas. Any other text is
+    read by csv.reader; there a short row's cells are padded with None, for
+    ``load_table`` to diagnose.
     """
-    text = _read_text(source)
+    if '"' not in text and "\r" not in text:
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if len(lines) > 1:
+            header = lines[0].split(",")
+            width = len(header)
+            distinct, line_of, first_row = _dedupe(lines[1:])
+            if all(line.count(",") == width - 1 for line in distinct):
+                cells = ",".join(distinct).split(",")
+                return header, [cells[j::width] for j in range(width)], line_of, first_row
     raw = list(csv.reader(io.StringIO(text)))
     if not raw:
         raise DataError("empty table: no header row")
-    header, data = raw[0], raw[1:]
-    if not data:
+    if len(raw) == 1:
         raise DataError("empty table: no data rows")
+    rows, line_of, first_row = _dedupe(list(map(tuple, raw[1:])))
+    return raw[0], list(zip_longest(*rows)), line_of, first_row
+
+
+def load_table(source, schema: Schema | None = None, outcome_column: str | None = None) -> TrainingTable:
+    """Load a CSV (header row, outcome column last unless named) into a table.
+
+    When ``schema`` is omitted it is inferred from the data. Each distinct
+    line is typed and coded once, column by column. Rejected with
+    line-numbered diagnostics that name the first bad cell in file order:
+    ragged rows, empty cells, unparseable or non-finite continuous cells,
+    categories or outcome labels outside an explicit schema.
+    """
+    header, columns, line_of, first_row = _split_csv(_read_text(source))
     if len(header) < 2:
         raise DataError("need at least one attribute column and one outcome column")
 
@@ -357,9 +392,11 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
             raise DataError(f"outcome column {outcome_column!r} not in header") from None
 
     width = len(header)
-    columns = list(zip(*data)) if set(map(len, data)) == {width} else None
-    if columns is None or any("" in cells for cells in columns):
-        for k, row in enumerate(data, start=2):
+    # File line of each distinct line's first appearance.
+    line_no = (first_row + 2).tolist()
+    if len(columns) != width or any(None in cells or "" in cells for cells in columns):
+        for u, k in enumerate(line_no):
+            row = [cells[u] for cells in columns if cells[u] is not None]
             if len(row) != width:
                 raise DataError(f"ragged row at line {k}: expected {width} cells, got {len(row)}")
             if "" in row:
@@ -371,7 +408,9 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
             f"schema has {schema.n_attributes} attributes, file has {len(attr_cols)}"
         )
     specs, vocabs, coded = [], [], []
-    # (row, column position, message) of each column's first bad cell.
+    # (distinct line, column position, message) of each column's first bad
+    # cell; distinct lines are in first-seen order, so the least is the
+    # first in file order.
     bad: list[tuple[int, int, str]] = []
     given = schema.attributes if schema is not None else [None] * len(attr_cols)
     for j, (i, spec) in enumerate(zip(attr_cols, given)):
@@ -385,7 +424,7 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
                 data_j = _parse_continuous(cells)
         except _BadCell as exc:
             what = "unknown category" if spec.kind == CATEGORICAL else "cannot parse continuous cell"
-            bad.append((exc.row, j, f"{what} {cells[exc.row]!r} at line {exc.row + 2}, column {spec.name!r}"))
+            bad.append((exc.row, j, f"{what} {cells[exc.row]!r} at line {line_no[exc.row]}, column {spec.name!r}"))
         specs.append(spec)
         vocabs.append(vocab)
         coded.append(data_j)
@@ -393,12 +432,12 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
         label_index, outcomes = _code_categorical(columns[out_idx], None if schema is None else schema.outcome_labels)
     except _BadCell as exc:
         bad.append((exc.row, len(attr_cols),
-                    f"unknown outcome label {columns[out_idx][exc.row]!r} at line {exc.row + 2}"))
+                    f"unknown outcome label {columns[out_idx][exc.row]!r} at line {line_no[exc.row]}"))
     if bad:
         raise DataError(min(bad)[2])
     if schema is None:
         schema = Schema(tuple(specs), tuple(label_index))
-    return TrainingTable._from_columns(schema, coded, vocabs, outcomes)
+    return TrainingTable._from_columns(schema, [data[line_of] for data in coded], vocabs, outcomes[line_of])
 
 
 def validate_query(raw_cells: Sequence[str], schema: Schema) -> Query:

@@ -31,6 +31,7 @@ every almost-perfect entry combined (see ``certify_lead``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -71,11 +72,15 @@ def _recip_power_cumsum(n: int, power: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(1.0 / i**power)))
 
 
-def _fading_exponent(d: np.ndarray, power: int, table_size: int) -> np.ndarray:
+def _fading_exponent(d: np.ndarray, power: int, total_weight: float) -> np.ndarray:
     """H(d) (power=1) or Q(d) (power=2), linearly interpolated between integers."""
-    table = _recip_power_cumsum(table_size, power)
     base = np.floor(d)
     idx = base.astype(np.int64)
+    # Sums up to the largest distance asked for, in power-of-two counts so
+    # the cache keeps few tables, and never more than the weight span needs.
+    # A cumsum prefix does not depend on its length, so no value moves.
+    need = int(idx.max(initial=0)) + 2
+    table = _recip_power_cumsum(min(1 << (need - 1).bit_length(), math.ceil(total_weight) + 2), power)
     return table[idx] + (d - base) / (idx + 1.0) ** power
 
 
@@ -167,15 +172,12 @@ class Kernel:
         elif kind == "newton":
             out = 1.0 / (1.0 / self.mld + d * d)
         elif kind == "decay_a":
-            out = np.power(self.mld, -_fading_exponent(d, 1, self._table_size()))
+            out = np.power(self.mld, -_fading_exponent(d, 1, self.total_weight))
         elif kind == "decay_b":
-            out = np.power(self.mld, -_fading_exponent(d, 2, self._table_size()))
+            out = np.power(self.mld, -_fading_exponent(d, 2, self.total_weight))
         else:  # pragma: no cover - guarded by __post_init__
             raise KernelError(f"unknown kernel kind {kind!r}")
         return out * self.scale
-
-    def _table_size(self) -> int:
-        return int(np.ceil(self.total_weight)) + 2
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,39 @@ def test_corrupted_schema_file_is_an_input_error(corrupt, train_file, tmp_path, 
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("source, predictor, kernel", [
+    ("schema", "rasturnat", "decay_a"),
+    ("schema", "rasturnat", "bridge"),
+    ("schema", "delanga", None),
+    ("model", "rasturnat", "decay_a"),
+    ("model", "rasturnat", "bridge"),
+    ("model", "delanga", None),
+])
+def test_weights_summing_to_infinity_are_an_input_error(source, predictor, kernel, tmp_path, capsys):
+    # Each weight is finite; their sum, 2e308, is not.
+    train, schema, model = tmp_path / "train.csv", tmp_path / "schema.json", tmp_path / "model.json"
+    train.write_text("x,y,label\na,b,p\nc,d,q\n")
+    fit_argv = ["fit", "--train", str(train), "--predictor", predictor, "--out", str(model)]
+    fit_argv += ["--kernel", kernel] if kernel else []
+    if source == "schema":
+        payload = schema_to_dict(load_table(train).schema)
+        for attr in payload["attributes"]:
+            attr["weight"] = 1e308
+        schema.write_text(json.dumps(payload))
+        argv = fit_argv + ["--schema", str(schema)]
+    else:
+        assert main(fit_argv) == 0
+        payload = json.loads(model.read_text())
+        for attr in payload["schema"]["attributes"]:
+            attr["weight"] = 1e308
+        model.write_text(json.dumps(payload))
+        argv = ["predict", "--model", str(model), "--query", "a,b"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: total attribute weight must be finite and positive\n"
+
+
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda payload: payload.pop("attribute_distribution"), id="no-distribution"),
     pytest.param(lambda payload: payload.pop("conditionals"), id="no-conditionals"),

@@ -1,7 +1,11 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldpred import (
     AttributeSpec,
@@ -12,9 +16,10 @@ from fieldpred import (
     load_table,
     validate_query,
 )
+from fieldpred import dataset
 from fieldpred.dataset import schema_from_dict, schema_to_dict
 
-from .util import serialize_table
+from .util import csv_reference_load_table, serialize_table
 
 CSV_MIXED = b"""color,size,label
 red,1.5,yes
@@ -274,3 +279,89 @@ def test_total_weight_matches_full_match_accumulation():
 
     _, dm = match_vectors(Query(tuple("a" * 7)), table)
     assert dm[0] == 0.0
+
+
+# Cells the split path takes as they are, and cells that are empty, quoted
+# or hold a CR (the last two send the text to csv.reader).
+CLEAN_CELLS = ["a", "b", "c", "1", "2.5", "-3", "1e400", "nan", "x y", " ", "\x00", "\u2028", "\x85"]
+DIRTY_CELLS = ["", '"q,r"', '"s""t"', 'u"v', "\r", "d\re"]
+
+
+@st.composite
+def csv_cases(draw):
+    """A CSV text with repeated lines, plus a schema or None and an outcome column or None."""
+    width = draw(st.integers(1, 4))
+    header = [f"h{j}" for j in range(width)]
+    cell = st.sampled_from(CLEAN_CELLS + draw(st.lists(st.sampled_from(DIRTY_CELLS), max_size=2)))
+    regular = st.lists(cell, min_size=width, max_size=width)
+    ragged = st.lists(cell, min_size=0, max_size=width + 1)
+    line = (st.one_of(regular, ragged) if draw(st.booleans()) else regular).map(",".join)
+    pool = draw(st.lists(line, min_size=1, max_size=5))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = newline.join([",".join(header)] + lines) + draw(st.sampled_from(["", newline]))
+    schema = None
+    if draw(st.booleans()):
+        values = st.lists(st.sampled_from(CLEAN_CELLS), min_size=1, max_size=6, unique=True)
+        attrs = tuple(
+            AttributeSpec(f"s{j}", kind, categories=draw(st.none() | values) if kind == "categorical" else None)
+            for j, kind in enumerate(draw(st.lists(st.sampled_from(["categorical", "continuous"]),
+                                                   min_size=max(width - 1, 0), max_size=max(width - 1, 0))))
+        )
+        schema = Schema(attrs, tuple(draw(values)))
+    outcome_column = draw(st.none() | st.sampled_from(header + ["zz"]))
+    return text, schema, outcome_column
+
+
+def _loaded(load, text, schema, outcome_column):
+    """The table's coded state, or the error raised."""
+    try:
+        table = load(text, schema=schema, outcome_column=outcome_column)
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (table.schema, [(c.dtype, c.tobytes()) for c in table._col_data], table._col_vocab,
+            table._outcomes.tobytes(), table._distinct_of.tobytes(), table._label_counts.tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_cases())
+def test_split_loader_matches_the_csv_reader(case):
+    text, schema, outcome_column = case
+    expected = _loaded(csv_reference_load_table, text, schema, outcome_column)
+    assert _loaded(load_table, text.encode(), schema, outcome_column) == expected
+
+
+def test_repeated_bad_line_reports_its_first_line():
+    schema = Schema((AttributeSpec("a", "continuous"), AttributeSpec("c", "categorical", categories=("p",))),
+                    ("x", "y"))
+    lines = ["1.0,p,x", "2.0,p,y"] * 50 + ["zzz,p,x"] * 20 + ["3.0,r,y"] + ["zzz,p,x"] * 5
+    text = "a,c,out\n" + "\n".join(lines) + "\n"
+    with pytest.raises(DataError, match="cannot parse continuous cell 'zzz' at line 102, column 'a'"):
+        load_table(text.encode(), schema=schema)
+    with pytest.raises(DataError, match="unknown category 'r' at line 122, column 'c'"):
+        load_table(text.replace("zzz", "4.0").encode(), schema=schema)
+
+
+def test_clean_text_is_split_without_the_csv_module(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on clean text")
+
+    monkeypatch.setattr(dataset.csv, "reader", refuse)
+    table = load_table(Path(__file__).parent / "data" / "mixed_train.csv")
+    assert table.n_entries == 10 and table.n_attributes == 3
+    rows = [f"r{i % 7},{i % 3}.5,{'yes' if i % 2 else 'no'}" for i in range(1000)]
+    table = load_table(("a,b,label\n" + "\n".join(rows) + "\n").encode())
+    assert table.n_entries == 1000
+    assert table.values[8] == ("r1", 2.5) and table.outcomes[:2] == (0, 1)
+
+
+def test_quoted_text_still_reaches_the_csv_reader(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(dataset.csv, "reader", reached)
+    with pytest.raises(Reached):
+        load_table(b'a,out\n"p",x\np,y\n')

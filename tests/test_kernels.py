@@ -15,7 +15,9 @@ from fieldpred import (
     splice,
     with_scale,
 )
-from fieldpred.kernels import kernel_from_dict, kernel_to_dict
+from fieldpred import kernels
+from fieldpred.cli import main
+from fieldpred.kernels import _recip_power_cumsum, kernel_from_dict, kernel_to_dict
 
 W = 6.0  # a convenient total weight for most tests
 
@@ -95,6 +97,38 @@ class TestFrozenValues:
             assert float(kb.evaluate(d)) == pytest.approx(
                 10.0 ** -harmonic_exponent(d, 2), rel=1e-13
             )
+
+    @pytest.mark.parametrize("kind, power", [("decay_a", 1), ("decay_b", 2)])
+    def test_decay_values_match_the_full_weight_table(self, kind, power):
+        # The sums are sized by the distances evaluated; the values keep the
+        # bits of a table sized by the whole weight span.
+        total_weight = 300.5
+        k = make_kernel(kind, 7, total_weight)
+        full = _recip_power_cumsum(math.ceil(total_weight) + 2, power)
+        d = np.array([0.0, 0.5, 1.0, 2.75, 3.0, 7.5, 63.0, 64.25, 129.0, 300.0, 300.5])
+        base = np.floor(d)
+        idx = base.astype(np.int64)
+        expected = np.power(k.mld, -(full[idx] + (d - base) / (idx + 1.0) ** power))
+        assert k.evaluate(d).tobytes() == expected.tobytes()
+        for x, want in zip(d, expected):
+            assert k.evaluate(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["decay_a", "decay_b"])
+    def test_decay_table_is_sized_by_distance_not_weight(self, kind, monkeypatch, tmp_path):
+        sizes = []
+
+        def recording(n, power):
+            sizes.append(n)
+            return _recip_power_cumsum(n, power)
+
+        monkeypatch.setattr(kernels, "_recip_power_cumsum", recording)
+        schema, train = tmp_path / "schema.json", tmp_path / "train.csv"
+        schema.write_text(json.dumps({"version": 1, "outcome_labels": ["p", "q"],
+                                      "attributes": [{"name": "x", "kind": "categorical", "weight": 1e7}]}))
+        train.write_text("x,label\na,p\na,q\n")
+        assert main(["fit", "--train", str(train), "--schema", str(schema),
+                     "--predictor", "rasturnat", "--kernel", kind]) == 0
+        assert sizes and max(sizes) <= 4
 
 
 class TestCertification:

@@ -29,7 +29,7 @@ from fieldpred import (
     TrainingTable,
     predict,
 )
-from fieldpred.dataset import CATEGORICAL, _is_real
+from fieldpred.dataset import CATEGORICAL, _BadCell, _code_categorical, _infer_column, _is_real, _parse_continuous
 from fieldpred.predictors import REL_TIE_TOL
 from fieldpred.similarity import match_vectors
 
@@ -311,6 +311,64 @@ def serialize_table(table: TrainingTable) -> bytes:
         cells = [cell if isinstance(cell, str) else repr(cell) for cell in row]
         writer.writerow(cells + [table.schema.outcome_labels[outcome]])
     return buf.getvalue().encode("utf-8")
+
+
+def csv_reference_load_table(text: str, schema: Schema | None = None,
+                             outcome_column: str | None = None) -> TrainingTable:
+    """``load_table`` as a csv.reader pass that types every row, not each
+    distinct line once: the reference its split-based loader is checked
+    against."""
+    raw = list(csv.reader(io.StringIO(text)))
+    if not raw:
+        raise DataError("empty table: no header row")
+    header, data = raw[0], raw[1:]
+    if not data:
+        raise DataError("empty table: no data rows")
+    if len(header) < 2:
+        raise DataError("need at least one attribute column and one outcome column")
+    if outcome_column is None:
+        out_idx = len(header) - 1
+    else:
+        try:
+            out_idx = header.index(outcome_column)
+        except ValueError:
+            raise DataError(f"outcome column {outcome_column!r} not in header") from None
+    width = len(header)
+    for k, row in enumerate(data, start=2):
+        if len(row) != width:
+            raise DataError(f"ragged row at line {k}: expected {width} cells, got {len(row)}")
+        if "" in row:
+            raise DataError(f"empty cell at line {k}: missing values are not supported")
+    columns = list(zip(*data))
+    attr_cols = [i for i in range(width) if i != out_idx]
+    if schema is not None and schema.n_attributes != len(attr_cols):
+        raise DataError(f"schema has {schema.n_attributes} attributes, file has {len(attr_cols)}")
+    specs, vocabs, coded, bad = [], [], [], []
+    given = schema.attributes if schema is not None else [None] * len(attr_cols)
+    for j, (i, spec) in enumerate(zip(attr_cols, given)):
+        cells, vocab, data_j = columns[i], None, None
+        if spec is None:
+            spec, data_j = _infer_column(header[i], cells)
+        try:
+            if spec.kind == CATEGORICAL:
+                vocab, data_j = _code_categorical(cells, spec.categories)
+            elif data_j is None:
+                data_j = _parse_continuous(cells)
+        except _BadCell as exc:
+            what = "unknown category" if spec.kind == CATEGORICAL else "cannot parse continuous cell"
+            bad.append((exc.row, j, f"{what} {cells[exc.row]!r} at line {exc.row + 2}, column {spec.name!r}"))
+        specs.append(spec)
+        vocabs.append(vocab)
+        coded.append(data_j)
+    try:
+        label_index, outcomes = _code_categorical(columns[out_idx], None if schema is None else schema.outcome_labels)
+    except _BadCell as exc:
+        bad.append((exc.row, len(attr_cols), f"unknown outcome label {columns[out_idx][exc.row]!r} at line {exc.row + 2}"))
+    if bad:
+        raise DataError(min(bad)[2])
+    if schema is None:
+        schema = Schema(tuple(specs), tuple(label_index))
+    return TrainingTable._from_columns(schema, coded, vocabs, outcomes)
 
 
 def expected_tos_rates(
