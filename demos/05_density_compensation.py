@@ -25,7 +25,7 @@ schema = Schema(
 rows = [("0", "0", "0", "0")] * 5 + [("1", "1", "1", "1")]
 table = TrainingTable(schema, rows, [0] * 5 + [1])
 
-kernel = make_kernel("newton", table.n_entries, table.total_weight)
+kernel = make_kernel("newton", table.n_entries)
 density = compute_density_model(table, kernel)
 print("per-entry crowding (tss) and compensation (dcf):")
 for i, row in enumerate(table.values):

@@ -205,12 +205,14 @@ def cmd_kernels(args) -> int:
         raise _UsageError("kernels check requires --m")
     if args.m < 2:
         raise _UsageError(f"--m must be at least 2, got {args.m}")
-    print("kind,sepm,seap,maxsap,certified")
+    # Every row is built before any is printed, so a refused kernel prints
+    # only its error line.
+    rows = ["kind,sepm,seap,maxsap,certified"]
     for kind in kernels.KERNEL_KINDS:
-        kernel = kernels.make_kernel(kind, args.m, 1.0)
-        cert = kernels.certify_lead(kernel, args.m)
+        cert = kernels.certify_lead(kernels.make_kernel(kind, args.m), args.m)
         flag = "true" if cert.certified else "false"
-        print(f"{kind},{cert.sepm:.6f},{cert.seap:.6f},{cert.maxsap:.6f},{flag}")
+        rows.append(f"{kind},{cert.sepm:.6f},{cert.seap:.6f},{cert.maxsap:.6f},{flag}")
+    print("\n".join(rows))
     return 0
 
 

@@ -361,7 +361,11 @@ def _split_csv(text: str) -> tuple[list[str], list[Sequence], np.ndarray, np.nda
             if all(line.count(",") == width - 1 for line in distinct):
                 cells = ",".join(distinct).split(",")
                 return header, [cells[j::width] for j in range(width)], line_of, first_row
-    raw = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        raw = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     if not raw:
         raise DataError("empty table: no header row")
     if len(raw) == 1:

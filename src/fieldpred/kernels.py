@@ -1,7 +1,8 @@
 """Distance kernels and lead certification.
 
-Every kernel is defined on the matching distance d in [0, total_weight]
-and maps it to a positive, strictly decreasing entry transform score.
+Every kernel is defined on the matching distance d >= 0 (at most the
+table's total weight) and maps it to a positive, strictly decreasing
+entry transform score.
 Working on the distance (complement) side keeps large tables out of
 overflow territory: the perfect-match value is the largest one a kernel
 ever produces.
@@ -31,12 +32,11 @@ every almost-perfect entry combined (see ``certify_lead``).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import _is_finite_real
 from .errors import KernelError
 
 GROWTH_KINDS = ("pow_2", "pow_e", "square", "linear")
@@ -65,22 +65,29 @@ KERNEL_FORMULAS = {
 KERNEL_KINDS = tuple(KERNEL_FORMULAS)
 
 
-@lru_cache(maxsize=None)
+#: Per power, the longest cumulative table built so far.
+_CUMSUMS: dict[int, np.ndarray] = {}
+
+
 def _recip_power_cumsum(n: int, power: int) -> np.ndarray:
-    """[0, sum_{i<=1} 1/i^p, sum_{i<=2} 1/i^p, ...] up to i = n."""
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return np.concatenate(([0.0], np.cumsum(1.0 / i**power)))
+    """[0, sum_{i<=1} 1/i^p, sum_{i<=2} 1/i^p, ...] up to i = n.
+
+    One table per power, rebuilt only when a longer one is asked for and
+    sliced otherwise: a cumsum prefix does not depend on its length, so
+    every value keeps its bits.
+    """
+    table = _CUMSUMS.get(power)
+    if table is None or table.size <= n:
+        i = np.arange(1, n + 1, dtype=np.float64)
+        table = _CUMSUMS[power] = np.concatenate(([0.0], np.cumsum(1.0 / i**power)))
+    return table[: n + 1]
 
 
-def _fading_exponent(d: np.ndarray, power: int, total_weight: float) -> np.ndarray:
+def _fading_exponent(d: np.ndarray, power: int) -> np.ndarray:
     """H(d) (power=1) or Q(d) (power=2), linearly interpolated between integers."""
     base = np.floor(d)
     idx = base.astype(np.int64)
-    # Sums up to the largest distance asked for, in power-of-two counts so
-    # the cache keeps few tables, and never more than the weight span needs.
-    # A cumsum prefix does not depend on its length, so no value moves.
-    need = int(idx.max(initial=0)) + 2
-    table = _recip_power_cumsum(min(1 << (need - 1).bit_length(), math.ceil(total_weight) + 2), power)
+    table = _recip_power_cumsum(int(idx.max(initial=0)), power)
     return table[idx] + (d - base) / (idx + 1.0) ** power
 
 
@@ -96,21 +103,25 @@ def _grow(kind: str, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A distance kernel plus the weight span it was built for.
+    """A distance kernel: its kind and its lead ``mld``.
 
     The residue kinds derive ``adrez`` from ``mld`` (and the growth
-    function) so that eval(0)/eval(1) = mld; it is never set directly.
+    function) so that eval(0)/eval(1) = mld; it is never set directly. For
+    inv_additive_residue that gives
+    adrez = (grow(1)/mld - grow(0)) / (1 - 1/mld).
+
     ``grow_kind`` belongs to inv_additive_residue alone and ``base`` to
-    spliced alone; a spliced base is never itself spliced.
+    spliced alone. A spliced kernel lifts its base's perfect-match value to
+    mld * base(1) and leaves d > 0 alone, which grafts a convergence-grade
+    lead onto any base shape: the perfect/almost-perfect ratio is exactly
+    mld. A spliced base is never itself spliced.
     """
 
     kind: str
-    total_weight: float
     mld: float
     adrez: float | None = field(init=False, default=None)
     grow_kind: str | None = None
     base: "Kernel | None" = None
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -118,14 +129,9 @@ class Kernel:
         for name, owner in (("grow_kind", "inv_additive_residue"), ("base", "spliced")):
             if getattr(self, name) is not None and self.kind != owner:
                 raise KernelError(f"{self.kind} kernel takes no {name}; only {owner} reads one")
-        if self.total_weight <= 0:
-            raise KernelError("kernel needs total_weight > 0")
-        for name in ("mld", "scale"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and np.isfinite(value)):
-                raise KernelError(f"kernel {name} must be a finite real, got {value!r}")
-        if self.scale <= 0:
-            raise KernelError("kernel scale must be positive")
+        if not _is_finite_real(self.mld):
+            raise KernelError(f"kernel mld must be a finite real, got {self.mld!r}")
+        object.__setattr__(self, "mld", float(self.mld))
         floor = 1 if self.kind in _LEAD_KINDS else 0
         if self.mld <= floor:
             raise KernelError(f"{self.kind} needs mld > {floor}, got {self.mld}")
@@ -155,29 +161,26 @@ class Kernel:
         d = np.asarray(d, dtype=np.float64)
         kind = self.kind
         if kind == "pow_2":
-            out = np.exp2(-d)
-        elif kind == "pow_e":
-            out = np.exp(-d)
-        elif kind == "gauss":
-            out = np.exp(-(d * d))
-        elif kind == "bridge":
-            out = np.power(self.mld, -d)
-        elif kind == "spliced":
-            lifted = self.mld * self.base.evaluate(1.0)
-            out = np.where(d == 0.0, lifted, self.base.evaluate(d))
-        elif kind == "adj_pow_2":
-            out = 1.0 / (np.exp2(d) + self.adrez)
-        elif kind == "inv_additive_residue":
-            out = 1.0 / (self.adrez + _grow(self.grow_kind, d))
-        elif kind == "newton":
-            out = 1.0 / (1.0 / self.mld + d * d)
-        elif kind == "decay_a":
-            out = np.power(self.mld, -_fading_exponent(d, 1, self.total_weight))
-        elif kind == "decay_b":
-            out = np.power(self.mld, -_fading_exponent(d, 2, self.total_weight))
-        else:  # pragma: no cover - guarded by __post_init__
-            raise KernelError(f"unknown kernel kind {kind!r}")
-        return out * self.scale
+            return np.exp2(-d)
+        if kind == "pow_e":
+            return np.exp(-d)
+        if kind == "gauss":
+            return np.exp(-(d * d))
+        if kind == "bridge":
+            return np.power(self.mld, -d)
+        if kind == "spliced":
+            return np.where(d == 0.0, self.mld * self.base.evaluate(1.0), self.base.evaluate(d))
+        if kind == "adj_pow_2":
+            return 1.0 / (np.exp2(d) + self.adrez)
+        if kind == "inv_additive_residue":
+            return 1.0 / (self.adrez + _grow(self.grow_kind, d))
+        if kind == "newton":
+            return 1.0 / (1.0 / self.mld + d * d)
+        if kind == "decay_a":
+            return np.power(self.mld, -_fading_exponent(d, 1))
+        if kind == "decay_b":
+            return np.power(self.mld, -_fading_exponent(d, 2))
+        raise KernelError(f"unknown kernel kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -199,49 +202,32 @@ class LeadCertificate:
             raise KernelError("certificate requires sepm >= seap > 0")
 
 
-def make_kernel(kind: str, n_entries: int, total_weight: float, mld_override: float | None = None) -> Kernel:
-    """Build a kernel for a table of ``n_entries`` rows and the given weight span.
+def make_kernel(kind: str, n_entries: int, mld_override: float | None = None) -> Kernel:
+    """Build a kernel for a table of ``n_entries`` rows.
 
     ``mld_override`` replaces the default lead (the entry count); it must
     exceed 1, and pow_2, pow_e and gauss, which have no lead, refuse it.
     """
+    try:
+        mld = float(n_entries if mld_override is None else mld_override)
+    except OverflowError:
+        raise KernelError("kernel lead is too large for a float") from None
     if mld_override is not None:
         if kind in _LEADLESS_KINDS:
             raise KernelError(f"{kind} kernel has no lead, so it takes no mld_override")
         if mld_override <= 1:
             raise KernelError(f"mld_override must exceed 1, got {mld_override}")
-        mld = float(mld_override)
-    elif n_entries >= 2 or kind not in _LEAD_KINDS:
-        mld = float(n_entries)
-    elif kind in ("adj_pow_2", "inv_additive_residue"):
-        raise KernelError(f"{kind} is degenerate for a single-entry table (lead {float(n_entries)} <= 1)")
-    else:
+    elif n_entries < 2 and kind in ("adj_pow_2", "inv_additive_residue"):
+        raise KernelError(f"{kind} is degenerate for a single-entry table (lead {mld} <= 1)")
+    elif n_entries < 2 and kind in _LEAD_KINDS:
         # mld = 1 would flatten the kernel; a 1-row table still gets a
         # strictly decreasing one.
         mld = 2.0
     if kind == "spliced":
-        return splice(make_kernel("pow_2", n_entries, total_weight), mld)
+        return Kernel("spliced", mld, base=make_kernel("pow_2", n_entries))
     if kind == "inv_additive_residue":
-        return inverse_additive_residue("pow_2", mld, total_weight)
-    return Kernel(kind, float(total_weight), mld)
-
-
-def splice(base: Kernel, mld: float) -> Kernel:
-    """Lift a kernel's perfect-match value to mld * base(1), leave d > 0 alone.
-
-    This grafts a convergence-grade lead onto any base shape: the spliced
-    perfect/almost-perfect ratio is exactly mld.
-    """
-    return Kernel("spliced", base.total_weight, mld, base=base)
-
-
-def inverse_additive_residue(grow_kind: str, mld: float, total_weight: float) -> Kernel:
-    """Kernel 1/(adrez + grow(d)) with adrez solved so the lead equals mld.
-
-    Setting eval(0)/eval(1) = mld gives
-    adrez = (grow(1)/mld - grow(0)) / (1 - 1/mld).
-    """
-    return Kernel("inv_additive_residue", float(total_weight), mld, grow_kind=grow_kind)
+        return Kernel("inv_additive_residue", mld, grow_kind="pow_2")
+    return Kernel(kind, mld)
 
 
 def certify_lead(kernel: Kernel, n_entries: int) -> LeadCertificate:
@@ -250,19 +236,11 @@ def certify_lead(kernel: Kernel, n_entries: int) -> LeadCertificate:
         raise KernelError("n_entries must be a positive integer")
     sepm = float(kernel.evaluate(0.0))
     seap = float(kernel.evaluate(1.0))
-    maxsap = (n_entries - 1) * seap
+    try:
+        maxsap = (n_entries - 1) * seap
+    except OverflowError:
+        raise KernelError("n_entries is too large to certify a lead for") from None
     return LeadCertificate(sepm=sepm, seap=seap, maxsap=maxsap, certified=sepm > maxsap)
-
-
-def with_scale(kernel: Kernel, factor: float) -> Kernel:
-    """A copy of the kernel scaled by a positive constant.
-
-    Scaling never changes winners or likelihoods; it exists to demonstrate
-    and test that invariance.
-    """
-    if factor <= 0:
-        raise KernelError("scale factor must be positive")
-    return replace(kernel, scale=kernel.scale * factor)
 
 
 def kernel_to_dict(kernel: Kernel) -> dict:
@@ -271,15 +249,15 @@ def kernel_to_dict(kernel: Kernel) -> dict:
         payload["grow_kind"] = kernel.grow_kind
     if kernel.base is not None:
         payload["base"] = kernel_to_dict(kernel.base)
-    if kernel.scale != 1.0:
-        payload["scale"] = kernel.scale
     return payload
 
 
-def kernel_from_dict(payload: dict, total_weight: float) -> Kernel:
+def kernel_from_dict(payload: dict) -> Kernel:
     """Rebuild a kernel from its descriptor. No refit: the stored mld is final.
 
-    ``adrez`` is derived from mld; the key in older files is ignored.
+    Other keys are ignored: older files carry ``adrez``, which is derived
+    from mld, and a constant factor that never changes a winner or a
+    likelihood.
     """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise KernelError("kernel descriptor must be an object with a 'kind'")
@@ -288,16 +266,5 @@ def kernel_from_dict(payload: dict, total_weight: float) -> Kernel:
         # Checked before recursing, so a spliced chain of any depth stops here.
         if isinstance(base, dict) and base.get("kind") == "spliced":
             raise KernelError(_SPLICED_BASE)
-        base = kernel_from_dict(base, total_weight)
-    try:
-        mld, scale = float(payload["mld"]), float(payload.get("scale", 1.0))
-    except (TypeError, ValueError, OverflowError):
-        raise KernelError("kernel mld and scale must be finite reals") from None
-    return Kernel(
-        kind=payload["kind"],
-        total_weight=float(total_weight),
-        mld=mld,
-        grow_kind=payload.get("grow_kind"),
-        base=base,
-        scale=scale,
-    )
+        base = kernel_from_dict(base)
+    return Kernel(payload["kind"], payload.get("mld"), grow_kind=payload.get("grow_kind"), base=base)

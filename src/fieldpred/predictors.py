@@ -131,7 +131,7 @@ def fit(
 
     if kernel_kind is None:
         raise PredictorError("rasturnat requires a kernel kind (--kernel)")
-    kernel = make_kernel(kernel_kind, table.n_entries, table.total_weight, mld_override)
+    kernel = make_kernel(kernel_kind, table.n_entries, mld_override)
     density_model = compute_density_model(table, kernel) if density else None
     return FittedModel(table, "rasturnat", kernel=kernel, density=density_model)
 
@@ -378,7 +378,7 @@ def model_from_dict(payload: dict) -> FittedModel:
         predictor = payload["predictor"]
         kernel = None
         if payload.get("kernel") is not None:
-            kernel = kernel_from_dict(payload["kernel"], table.total_weight)
+            kernel = kernel_from_dict(payload["kernel"])
         density = None
         if payload.get("density") is not None:
             density = _density_from_dict(payload["density"], table.n_entries)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fieldpred import (
+    Kernel,
     bayes_optimal,
     certify_lead,
     compute_density_model,
@@ -24,39 +25,36 @@ from fieldpred import (
     run_convergence,
     save_spec,
     standard_spec,
-    with_scale,
 )
 from fieldpred.cli import main
 from fieldpred.harness import all_tuples, generate_point_test
 from fieldpred.kernels import KERNEL_KINDS
 from fieldpred.predictors import FittedModel
 
-from .util import expected_tos_rates, naive_reference_predict, random_categorical_instance, random_continuous_instance
+from .util import (ScaledKernel, expected_tos_rates, naive_reference_predict, random_categorical_instance,
+                   random_continuous_instance)
 
 CERTIFIED_KINDS = ("bridge", "adj_pow_2", "newton", "spliced", "decay_a", "decay_b")
 UNCERTIFIED_KINDS = ("pow_2", "pow_e", "gauss")
-W = 9.0
 
 
 def test_criterion_1_lead_certification():
     sizes = (2, 5, 10, 100, 1000)
     for m in sizes:
         for kind in CERTIFIED_KINDS:
-            cert = certify_lead(make_kernel(kind, m, W), m)
+            cert = certify_lead(make_kernel(kind, m), m)
             assert cert.certified is True, f"{kind} at m={m} must certify"
     for m in (s for s in sizes if s >= 4):
         for kind in UNCERTIFIED_KINDS:
-            cert = certify_lead(make_kernel(kind, m, W), m)
+            cert = certify_lead(make_kernel(kind, m), m)
             assert cert.certified is False, f"{kind} at m={m} must not certify"
     print(f"criterion 1: certification matrix over m={sizes} OK")
 
 
 def test_criterion_2_construction_equivalence():
-    from fieldpred import inverse_additive_residue
-
     for m in (2, 5, 100):
-        built = inverse_additive_residue("pow_2", float(m), W)
-        closed = make_kernel("adj_pow_2", m, W)
+        built = Kernel("inv_additive_residue", float(m), grow_kind="pow_2")
+        closed = make_kernel("adj_pow_2", m)
         adrez = -(m - 2.0) / (m - 1.0)
         assert built.adrez == pytest.approx(adrez, rel=1e-12)
         for d in range(9):
@@ -161,7 +159,7 @@ def test_criterion_6_density_identities():
     kinds = ("bridge", "newton", "pow_2", "gauss", "adj_pow_2")
     for i in range(200):
         table, _ = random_categorical_instance(rng)
-        kernel = make_kernel(kinds[i % len(kinds)], table.n_entries, table.total_weight)
+        kernel = make_kernel(kinds[i % len(kinds)], table.n_entries)
         density = compute_density_model(table, kernel)
         recovered = math.fsum(f * t for f, t in zip(density.dcf, density.tss))
         assert recovered == pytest.approx(density.sts, rel=1e-9)
@@ -172,11 +170,11 @@ def test_criterion_6_density_identities():
         tuple(AttributeSpec(f"x{j}", "categorical") for j in range(4)), ("A", "B")
     )
     uniform = TrainingTable(schema, [("0",) * 4] * 5, [0, 1, 0, 1, 0])
-    kernel = make_kernel("bridge", 5, uniform.total_weight)
+    kernel = make_kernel("bridge", 5)
     assert list(compute_density_model(uniform, kernel).dcf) == [1.0] * 5
 
     three = TrainingTable(schema, [("0",) * 4, ("0",) * 4, ("1",) * 4], [0, 0, 1])
-    kernel = make_kernel("bridge", 3, three.total_weight)
+    kernel = make_kernel("bridge", 3)
     dcf = compute_density_model(three, kernel).dcf
     assert dcf[2] > dcf[0] and dcf[2] > dcf[1]
     print("criterion 6: density identities hold on 200 instances + constructions")
@@ -192,7 +190,7 @@ def test_criterion_7_scaling_invariance():
         base = fit(table, "rasturnat", kind)
         reference = predict(base, query)
         for c in factors:
-            scaled = FittedModel(table, "rasturnat", kernel=with_scale(base.kernel, c))
+            scaled = FittedModel(table, "rasturnat", kernel=ScaledKernel(base.kernel, c))
             p = predict(scaled, query)
             assert p.winner == reference.winner
             for label, value in reference.likelihoods.items():

@@ -158,6 +158,8 @@ def _spliced_chain(depth: int) -> dict:
     pytest.param(lambda payload: payload["kernel"].update(mld=None), id="null-mld"),
     pytest.param(lambda payload: payload["kernel"].update(mld=10**400), id="huge-mld"),
     pytest.param(lambda payload: payload["kernel"].update(mld=0), id="zero-mld"),
+    pytest.param(lambda payload: payload["kernel"].update(mld="3.5"), id="string-mld"),
+    pytest.param(lambda payload: payload["kernel"].update(mld=True), id="bool-mld"),
     pytest.param(lambda payload: payload["kernel"].update(mld=-1.0), id="negative-mld"),
     pytest.param(lambda payload: payload["kernel"].update(kind="adj_pow_2", mld=1e17, adrez=-0.75),
                  id="adj-pow-2-mld-past-float-precision"),
@@ -339,6 +341,15 @@ def test_deeply_nested_document_is_an_input_error(flag, train_file, tmp_path, ca
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oversized_quoted_cell_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    path.write_text('color,label\nred,yes\n"' + "x" * 131073 + '",no\n')
+    assert main(["fit", "--train", str(path), "--predictor", "delanga"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed CSV at line 3: field larger than field limit")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["adj_pow_2", "inv_additive_residue"])
@@ -546,6 +557,15 @@ class TestKernels:
         code = main(["kernels", "check", "--m", "1"])
         captured = capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("m", [str(10**400), "100000000000000000000"])
+    def test_check_refusal_prints_only_the_error(self, m, capsys):
+        # 10^400 has no float; at 10^20 the residue kernel's denominator
+        # rounds to zero after five kinds have certified.
+        assert main(["kernels", "check", "--m", m]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestTopLevel:

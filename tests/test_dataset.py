@@ -365,3 +365,9 @@ def test_quoted_text_still_reaches_the_csv_reader(monkeypatch):
     monkeypatch.setattr(dataset.csv, "reader", reached)
     with pytest.raises(Reached):
         load_table(b'a,out\n"p",x\np,y\n')
+
+
+def test_text_the_csv_reader_refuses_is_a_data_error():
+    # A lone CR inside an unquoted cell.
+    with pytest.raises(DataError, match="malformed CSV at line 2: new-line character"):
+        load_table(b"a,b\nx\ry,1\n")

@@ -487,7 +487,7 @@ def test_naive_oracle_with_density(seed):
 
     rng = np.random.default_rng(seed)
     table, query = random_categorical_instance(rng)
-    kernel = make_kernel("newton", table.n_entries, table.total_weight)
+    kernel = make_kernel("newton", table.n_entries)
     density = compute_density_model(table, kernel)
     model = fit(table, "rasturnat", "newton", density=True)
     fast = predict(model, query)
@@ -505,7 +505,7 @@ def test_naive_oracle_single_row_chain():
         ("A", "B"),
     )
     table = TrainingTable(schema, [("0", "1")], [1])
-    kernel = make_kernel("pow_2", 1, table.total_weight)
+    kernel = make_kernel("pow_2", 1)
     p = naive_reference_predict(table, Query(("0", "0")), kernel)
     assert p.scores == {"A": 0.0, "B": 0.5}
     assert p.winner == "B"
@@ -516,7 +516,7 @@ def test_naive_oracle_neutral_density_is_identity():
 
     rng = np.random.default_rng(12)
     table, query = random_categorical_instance(rng)
-    kernel = make_kernel("gauss", table.n_entries, table.total_weight)
+    kernel = make_kernel("gauss", table.n_entries)
     m = table.n_entries
     neutral = DensityModel(
         tss=np.ones(m), sts=float(m), stavg=1.0, dcf=np.ones(m)

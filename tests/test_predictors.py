@@ -25,11 +25,11 @@ from fieldpred import (
     make_kernel,
     predict,
     save_model,
-    with_scale,
 )
 from fieldpred.predictors import model_from_dict, model_to_dict
 
 from .util import (
+    ScaledKernel,
     brute_delanga,
     brute_one_nn,
     random_categorical_instance,
@@ -219,13 +219,13 @@ class TestFit:
 class TestDensity:
     def test_uniform_table_dcf_exactly_one(self):
         table = two_bit_table([(("0", "0"), "A")] * 4)
-        kernel = make_kernel("bridge", 4, table.total_weight)
+        kernel = make_kernel("bridge", 4)
         density = compute_density_model(table, kernel)
         assert list(density.dcf) == [1.0, 1.0, 1.0, 1.0]
 
     def test_symmetric_pair_worked_example(self):
         table = two_bit_table([(("0", "0"), "A"), (("1", "1"), "B")])
-        kernel = make_kernel("bridge", 2, table.total_weight)
+        kernel = make_kernel("bridge", 2)
         density = compute_density_model(table, kernel)
         assert list(density.tss) == [1.25, 1.25]
         assert density.sts == 2.5
@@ -239,7 +239,7 @@ class TestDensity:
         )
         rows = [("0",) * 4, ("0",) * 4, ("1",) * 4]
         table = TrainingTable(schema, rows, [0, 0, 1])
-        kernel = make_kernel("bridge", 3, table.total_weight)
+        kernel = make_kernel("bridge", 3)
         density = compute_density_model(table, kernel)
         assert density.dcf[2] > 1.0 > density.dcf[0]
         assert density.dcf[0] == density.dcf[1]
@@ -326,7 +326,7 @@ def test_scaling_leaves_predictions_unchanged(seed, factor):
     rng = np.random.default_rng(seed)
     table, query = random_categorical_instance(rng)
     base = fit(table, "rasturnat", "pow_2")
-    scaled = FittedModel(table, "rasturnat", kernel=with_scale(base.kernel, factor))
+    scaled = FittedModel(table, "rasturnat", kernel=ScaledKernel(base.kernel, factor))
     a, b = predict(base, query), predict(scaled, query)
     assert a.winner == b.winner
     for label in a.likelihoods:
@@ -389,7 +389,7 @@ def test_density_aggregate_identity(seed):
 
     rng = np.random.default_rng(seed)
     table, _ = random_categorical_instance(rng)
-    kernel = make_kernel("newton", table.n_entries, table.total_weight)
+    kernel = make_kernel("newton", table.n_entries)
     density = compute_density_model(table, kernel)
     recovered = math.fsum(d * t for d, t in zip(density.dcf, density.tss))
     assert recovered == pytest.approx(density.sts, rel=1e-9)

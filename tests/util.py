@@ -253,6 +253,18 @@ def naive_reference_predict(
     return Prediction(dict(tos), likelihoods, winner, 1 if len(tied) > 1 else 0)
 
 
+@dataclass(frozen=True)
+class ScaledKernel:
+    """A kernel with every value multiplied by ``factor``: the field of each
+    label scales alike, so no winner or likelihood may move."""
+
+    kernel: Kernel
+    factor: float
+
+    def evaluate(self, d):
+        return self.kernel.evaluate(d) * self.factor
+
+
 def _naive_kernel_value(kernel: Kernel, d: float) -> float:
     """Scalar kernel formulas written out independently of Kernel.evaluate."""
     kind = kernel.kind
@@ -269,7 +281,6 @@ def _naive_kernel_value(kernel: Kernel, d: float) -> float:
             value = kernel.mld * _naive_kernel_value(kernel.base, 1.0)
         else:
             value = _naive_kernel_value(kernel.base, d)
-        return value * kernel.scale
     elif kind == "adj_pow_2":
         value = 1.0 / (2.0**d + kernel.adrez)
     elif kind == "inv_additive_residue":
@@ -294,7 +305,7 @@ def _naive_kernel_value(kernel: Kernel, d: float) -> float:
         value = kernel.mld ** (-h)
     else:  # pragma: no cover
         raise HarnessError(f"unknown kernel kind {kind!r}")
-    return value * kernel.scale
+    return value
 
 
 #: Header used for the synthesized outcome column when a table is written
@@ -318,7 +329,11 @@ def csv_reference_load_table(text: str, schema: Schema | None = None,
     """``load_table`` as a csv.reader pass that types every row, not each
     distinct line once: the reference its split-based loader is checked
     against."""
-    raw = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        raw = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     if not raw:
         raise DataError("empty table: no header row")
     header, data = raw[0], raw[1:]
