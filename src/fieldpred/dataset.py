@@ -323,10 +323,11 @@ def _read_text(source) -> str:
 
 
 def _read_json(source, error_cls: type[Exception], what: str):
-    """The JSON document in ``source``; malformed or too deeply nested text raises ``error_cls``."""
+    """The JSON document in ``source``; malformed or too deeply nested text,
+    or an integer too long to convert, raises ``error_cls``."""
     try:
         return json.loads(_read_text(source))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise error_cls(f"invalid {what} file: {exc}") from None
 
 

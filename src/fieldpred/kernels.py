@@ -68,6 +68,10 @@ KERNEL_KINDS = tuple(KERNEL_FORMULAS)
 #: Per power, the longest cumulative table built so far.
 _CUMSUMS: dict[int, np.ndarray] = {}
 
+#: Largest distance a decay kernel takes: its table holds one sum per whole
+#: distance, so a larger one would ask for more memory than a scan is worth.
+_MAX_DECAY_DISTANCE = 1 << 24
+
 
 def _recip_power_cumsum(n: int, power: int) -> np.ndarray:
     """[0, sum_{i<=1} 1/i^p, sum_{i<=2} 1/i^p, ...] up to i = n.
@@ -85,6 +89,11 @@ def _recip_power_cumsum(n: int, power: int) -> np.ndarray:
 
 def _fading_exponent(d: np.ndarray, power: int) -> np.ndarray:
     """H(d) (power=1) or Q(d) (power=2), linearly interpolated between integers."""
+    # Checked as a float: the int64 cast below wraps past 2^63.
+    top = float(d.max(initial=0.0))
+    if not top <= _MAX_DECAY_DISTANCE:
+        raise KernelError(f"decay kernels take distances up to {_MAX_DECAY_DISTANCE}, got {top}: "
+                          "the attribute weights are too large for them")
     base = np.floor(d)
     idx = base.astype(np.int64)
     table = _recip_power_cumsum(int(idx.max(initial=0)), power)

@@ -44,6 +44,9 @@ REL_TIE_TOL = 1e-12
 
 MODEL_FILE_VERSION = 2
 
+#: Cells a density-fit block scores at once: B rows against all U rows.
+_DENSITY_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class DensityModel:
@@ -239,23 +242,75 @@ def _predict_field(model: FittedModel, dm: np.ndarray) -> Prediction:
 def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     """Score every distinct row against the whole table and derive dcf factors.
 
-    O(U^2 * N) for U distinct rows; identical entries share one tss, which
-    includes the entry's own term.
+    O(U^2 * N) for U distinct rows, scored in blocks of about 2^16 cells
+    (``max(1, 2^16 // U)`` rows against all U). Each row's tss equals
+    ``math.fsum`` of its U terms, so tss does not depend on the block
+    layout. Identical entries share one tss, which includes the entry's
+    own term.
     """
     m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
-    row_tss = np.empty(multiplicity.size, dtype=np.float64)
-    coded_rows = zip(*(column.tolist() for column in table._col_data))
-    for u, row in enumerate(coded_rows):
-        _, dm = match_encoded(row, table)
-        row_tss[u] = math.fsum(kernel.evaluate(dm) * multiplicity)
-    tss = row_tss[table._distinct_of]
-    sts = math.fsum(tss)
+    n_rows = multiplicity.size
+    step = max(1, _DENSITY_BLOCK_CELLS // n_rows)
+    row_tss = np.empty(n_rows, dtype=np.float64)
+    try:
+        for start in range(0, n_rows, step):
+            block = [column[start:start + step, None] for column in table._col_data]
+            _, dm = match_encoded(block, table)
+            # Without attribute columns the scores stay one row of U = 1.
+            terms = (kernel.evaluate(dm) * multiplicity).reshape(-1, n_rows)
+            row_tss[start:start + step] = _exact_row_sums(terms)
+        tss = row_tss[table._distinct_of]
+        sts = math.fsum(tss)
+    except OverflowError:
+        raise PredictorError(f"the density field overflows: the kernel's mld {kernel.mld} is too large "
+                             "for this table") from None
     stavg = sts / m
     # Algebraically stavg / tss, but dividing the fsum by m * tss keeps
     # dcf at exactly 1.0 when every entry carries the same field.
     dcf = sts / (m * tss)
     return DensityModel(tss=tss, sts=sts, stavg=stavg, dcf=dcf)
+
+
+def _exact_row_sums(values: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, bit for bit.
+
+    fsum rounds the exact sum once, so any exact method agrees with it.
+    Each value's 53-bit significand splits into a whole-number high part
+    (26 bits) and low part (27 bits). ``np.bincount`` adds the high parts
+    per row and binary exponent, and the low parts the same way; with
+    fewer than 2^26 values a row, every such total stays below 2^53 and
+    is exact, and so is each total scaled back (subnormals included:
+    every value is a multiple of 2^-1074). A row's few hundred partials
+    then go to fsum. A row with a non-finite partial, or whose partials
+    overflow fsum, is summed by fsum directly, so it returns or raises
+    as fsum does. The one difference: where values of both signs cancel
+    below the float limit but fsum overflows on the way, this returns
+    the sum.
+    """
+    n_rows = values.shape[0]
+    with np.errstate(all="ignore"):
+        mantissa, exponent = np.frexp(values)
+        whole = mantissa * 2.0**53
+        high = np.trunc(whole * 2.0**-27)
+        low = whole - high * 2.0**27
+        lowest = int(exponent.min())
+        span = int(exponent.max()) - lowest + 1
+        bins = (exponent - lowest + span * np.arange(n_rows)[:, None]).ravel()
+        scale = np.arange(lowest, lowest + span)
+        partials = np.concatenate([
+            np.ldexp(np.bincount(bins, part.ravel(), n_rows * span).reshape(n_rows, span), scale - shift)
+            for part, shift in ((high, 26), (low, 53))
+        ], axis=1)
+    direct = ~np.isfinite(partials).all(axis=1)
+    nonzero = partials != 0.0
+    sums = np.empty(n_rows, dtype=np.float64)
+    for r in range(n_rows):
+        try:
+            sums[r] = math.fsum((values[r] if direct[r] else partials[r, nonzero[r]]).tolist())
+        except OverflowError:
+            sums[r] = math.fsum(values[r].tolist())
+    return sums
 
 
 def model_to_dict(model: FittedModel) -> dict:

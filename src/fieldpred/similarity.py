@@ -28,8 +28,16 @@ def match_vectors(query: Query, table: TrainingTable) -> tuple[np.ndarray, np.nd
 
 
 def match_encoded(encoded: Sequence, table: TrainingTable) -> tuple[np.ndarray, np.ndarray]:
-    """``match_vectors`` for a query already coded against the table."""
-    ems = np.zeros(table._distinct_entry.size, dtype=np.float64)
+    """``match_vectors`` for cells already coded against the table.
+
+    One coded cell per column scores one query against the U rows. A
+    column of B cells (shape B x 1) broadcasts to a B x U block of
+    queries, by the same element-wise operations in the same order, so
+    each block row equals its single-query scores bit for bit.
+    """
+    # A block's cells have shape B x 1 (a single query's are scalars, shape ()).
+    lead = getattr(encoded[0], "shape", ())[:-1] if len(encoded) else ()
+    ems = np.zeros(lead + table._distinct_entry.shape, dtype=np.float64)
     for j, spec in enumerate(table.schema.attributes):
         column = table._col_data[j]
         if spec.kind == CATEGORICAL or spec.range_width == 0.0:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -254,6 +255,47 @@ def test_weights_summing_to_infinity_are_an_input_error(source, predictor, kerne
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: total attribute weight must be finite and positive\n"
+
+
+@pytest.mark.parametrize("rows, weights, mld", [
+    # One row entered 50 times: each tss is finite, their sum 2.5e308 is not.
+    pytest.param(["a,b,p"] * 50 + ["c,d,q"], (1.0, 1.0), "1e305", id="sum-of-tss"),
+    # y weighs nothing, so the two rows sit at distance 0 and each one's
+    # field is 1e308 + 1e308.
+    pytest.param(["a,b,p", "a,d,q"], (1.0, 0.0), "1e308", id="one-row"),
+])
+def test_overflowing_density_field_is_an_input_error(rows, weights, mld, tmp_path, capsys):
+    train, schema = tmp_path / "train.csv", tmp_path / "schema.json"
+    train.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+    payload = schema_to_dict(load_table(train).schema)
+    for attr, weight in zip(payload["attributes"], weights):
+        attr["weight"] = weight
+    schema.write_text(json.dumps(payload))
+    assert main(["fit", "--train", str(train), "--schema", str(schema), "--predictor", "rasturnat",
+                 "--kernel", "newton", "--mld", mld, "--density"]) == 1
+    assert capsys.readouterr().err.startswith("error: the density field overflows")
+
+
+@pytest.mark.parametrize("flag", ["--model", "--schema", "--spec"])
+def test_json_integer_too_long_to_convert_is_an_input_error(flag, train_file, spec_file, tmp_path, capsys):
+    # json.loads refuses an integer of more than 4,300 digits with a plain ValueError.
+    model, schema = tmp_path / "model.json", tmp_path / "schema.json"
+    assert main(["fit", "--train", train_file, "--predictor", "rasturnat", "--kernel", "bridge",
+                 "--out", str(model)]) == 0
+    schema.write_text(json.dumps(schema_to_dict(load_table(train_file).schema)))
+    path, key = {"--model": (model, '"mld":'), "--schema": (schema, '"weight":'),
+                 "--spec": (Path(spec_file), '"seed":')}[flag]
+    text = json.dumps(json.loads(path.read_text()), separators=(",", ":"))
+    path.write_text(re.sub(f"{key}[^,}}]+", f"{key}1{'0' * 5000}", text, count=1))
+    argv = {
+        "--model": ["predict", "--model", str(model), "--query", "red,1.5"],
+        "--schema": ["fit", "--train", train_file, "--predictor", "delanga", "--schema", str(schema)],
+        "--spec": ["converge", "--spec", spec_file, "--arms", "delanga", "--schedule", "5",
+                   "--out", str(tmp_path / "report.csv")],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: invalid")
 
 
 @pytest.mark.parametrize("corrupt", [

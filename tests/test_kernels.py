@@ -137,6 +137,22 @@ class TestFrozenValues:
                      "--predictor", "rasturnat", "--kernel", kind]) == 0
         assert kernels._CUMSUMS and all(table.size <= 4 for table in kernels._CUMSUMS.values())
 
+    @pytest.mark.parametrize("kind", ["decay_a", "decay_b"])
+    @pytest.mark.parametrize("weight", [1e12, 1e300])
+    def test_distance_past_the_decay_cap_is_an_input_error(self, kind, weight, tmp_path, capsys):
+        # 1e12 would ask for a 7 TiB table; 1e300 wraps the int64 cast.
+        schema, train, model = tmp_path / "schema.json", tmp_path / "train.csv", tmp_path / "model.json"
+        schema.write_text(json.dumps({"version": 1, "outcome_labels": ["p", "q"],
+                                      "attributes": [{"name": "x", "kind": "categorical", "weight": weight}]}))
+        train.write_text("x,label\na,p\na,q\n")
+        assert main(["fit", "--train", str(train), "--schema", str(schema),
+                     "--predictor", "rasturnat", "--kernel", kind, "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--query", "b"]) == 1
+        assert capsys.readouterr().err.startswith("error: decay kernels take distances up to 16777216")
+        with pytest.raises(KernelError):
+            Kernel(kind, 2.0).evaluate([1.0, 2.0**24 + 1.0])
+
 
 class TestCertification:
     def test_bridge_100_worked_example(self):

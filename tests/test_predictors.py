@@ -1,7 +1,9 @@
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldpred import (
+    KERNEL_KINDS,
     AttributeSpec,
     DensityModel,
     FittedModel,
@@ -26,7 +29,8 @@ from fieldpred import (
     predict,
     save_model,
 )
-from fieldpred.predictors import model_from_dict, model_to_dict
+from fieldpred import predictors
+from fieldpred.predictors import _exact_row_sums, model_from_dict, model_to_dict
 
 from .util import (
     ScaledKernel,
@@ -35,6 +39,7 @@ from .util import (
     random_categorical_instance,
     random_continuous_instance,
     random_mixed_instance,
+    reference_density_model,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -244,6 +249,12 @@ class TestDensity:
         assert density.dcf[2] > 1.0 > density.dcf[0]
         assert density.dcf[0] == density.dcf[1]
 
+    def test_table_without_attributes_puts_every_entry_at_distance_zero(self):
+        table = TrainingTable(Schema((), ("A", "B")), [(), (), ()], [0, 1, 0])
+        density = compute_density_model(table, make_kernel("bridge", 3))
+        assert list(density.tss) == [3.0, 3.0, 3.0]
+        assert list(density.dcf) == [1.0, 1.0, 1.0]
+
     def test_density_model_validates_positivity(self):
         with pytest.raises(PredictorError):
             DensityModel(
@@ -394,6 +405,103 @@ def test_density_aggregate_identity(seed):
     recovered = math.fsum(d * t for d, t in zip(density.dcf, density.tss))
     assert recovered == pytest.approx(density.sts, rel=1e-9)
     assert density.stavg == density.sts / table.n_entries
+
+
+def random_repeated_table(rng: np.random.Generator, n_distinct: int) -> TrainingTable:
+    """Up to ``n_distinct`` mixed rows, each entered one to three times, under
+    random weights (zero among them)."""
+    kinds = [str(rng.choice(["categorical", "continuous"])) for _ in range(int(rng.integers(1, 6)))]
+    weights = [float(rng.choice([0.0, 0.25, 1.0, 2.5, 7.0])) for _ in kinds]
+    weights[0] = weights[0] or 1.0
+    schema = Schema(tuple(AttributeSpec(f"x{j}", kind, weight=w) for j, (kind, w) in enumerate(zip(kinds, weights))),
+                    ("A", "B", "C"))
+    distinct = list(dict.fromkeys(
+        tuple(str(rng.integers(0, 6)) if kind == "categorical" else round(float(rng.uniform(-3, 3)), 3)
+              for kind in kinds)
+        for _ in range(n_distinct)
+    ))
+    rows = [row for row in distinct for _ in range(int(rng.integers(1, 4)))]
+    rows = [rows[i] for i in rng.permutation(len(rows))] + [distinct[0]]
+    return TrainingTable(schema, rows, [int(rng.integers(0, 3)) for _ in rows])
+
+
+def assert_same_density(got: DensityModel, want: DensityModel) -> None:
+    assert np.array_equal(got.tss, want.tss)
+    assert np.array_equal(got.dcf, want.dcf)
+    assert (got.sts, got.stavg) == (want.sts, want.stavg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_KINDS), st.integers(1, 300),
+       st.sampled_from([1, 7, 1000, 1 << 16]))
+def test_blocked_density_fit_equals_the_per_row_fit(seed, kind, n_distinct, block_cells):
+    # 2^16 cells cross a block boundary from U = 257 on; the smaller
+    # blocks cross them at every U above a handful.
+    table = random_repeated_table(np.random.default_rng(seed), n_distinct)
+    kernel = make_kernel(kind, table.n_entries)
+    with mock.patch.object(predictors, "_DENSITY_BLOCK_CELLS", block_cells):
+        got = compute_density_model(table, kernel)
+    assert_same_density(got, reference_density_model(table, kernel))
+
+
+def test_subnormal_terms_sum_exactly():
+    # 27 unit-weight columns: rows that differ everywhere sit at d = 27,
+    # where gauss is e^-729, a subnormal.
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "categorical") for j in range(27)), ("A", "B"))
+    table = TrainingTable(schema, [("a",) * 27, ("b",) * 27, ("a",) * 27, ("c",) * 13 + ("a",) * 14],
+                          [0, 1, 1, 0])
+    kernel = make_kernel("gauss", table.n_entries)
+    assert 0.0 < float(kernel.evaluate(27.0)) < np.finfo(np.float64).tiny
+    assert_same_density(compute_density_model(table, kernel), reference_density_model(table, kernel))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_row_sums_equal_fsum(seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 6)), int(rng.integers(1, 300)))
+    low, high = sorted(int(e) for e in rng.integers(-1080, 1001, 2))
+    with np.errstate(under="ignore"):
+        values = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(low, high + 1, shape))
+    values[rng.random(shape) < 0.1] = 0.0
+    if rng.random() < 0.5:
+        values *= rng.choice([-1.0, 1.0], shape)
+    want = np.array([math.fsum(row) for row in values.tolist()])
+    assert _exact_row_sums(values).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_row_sums_of_subnormals_equal_fsum(seed):
+    rng = np.random.default_rng(seed)
+    shape = (4, int(rng.integers(1, 400)))
+    with np.errstate(under="ignore"):
+        values = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1090, -1000, shape))
+    values *= rng.choice([-1.0, 1.0], shape)
+    assert (np.abs(values) < np.finfo(np.float64).tiny).any()
+    want = np.array([math.fsum(row) for row in values.tolist()])
+    assert _exact_row_sums(values).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row, error", [
+    ([1e308, 1e308], OverflowError),
+    ([np.inf, -np.inf], ValueError),
+])
+def test_exact_row_sums_raise_as_fsum_does(row, error):
+    with pytest.raises(error):
+        math.fsum(row)
+    with pytest.raises(error):
+        _exact_row_sums(np.array([[0.5, 0.25], row]))
+
+
+def test_exact_row_sums_take_fsum_where_only_their_partials_overflow():
+    row = [1.1658195108816256e+308, -1.9410982631069622e+307, -8.128582505962357e+307, -8.862254102825434e+307]
+    assert _exact_row_sums(np.array([row]))[0] == math.fsum(row) == -7.273739763078497e+307
+
+
+def test_exact_row_sums_pass_non_finite_values_through():
+    values = np.array([[1.0, np.inf], [np.nan, 2.0], [-np.inf, 3.0]])
+    want = [math.fsum(row) for row in values.tolist()]
+    assert np.array_equal(_exact_row_sums(values), want, equal_nan=True)
 
 
 class TestModelFiles:

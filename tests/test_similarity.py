@@ -10,7 +10,7 @@ from fieldpred import (
     Schema,
     TrainingTable,
 )
-from fieldpred.similarity import match_vectors
+from fieldpred.similarity import match_encoded, match_vectors
 
 from .util import (
     all_match_scores,
@@ -19,6 +19,7 @@ from .util import (
     entry_match_score,
     random_categorical_instance,
     random_continuous_instance,
+    random_mixed_instance,
 )
 
 
@@ -211,3 +212,16 @@ def test_unseen_query_category_matches_nothing():
     table = TrainingTable(schema, [("p",), ("q",)], [0, 1])
     _, dm = match_vectors(Query(("zzz",)), table)
     assert list(dm) == [1.0, 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_single_query_scores_equal_their_row_of_a_block(seed):
+    table, queries = random_mixed_instance(np.random.default_rng(seed))
+    coded = [table.encode_query(q) for q in queries]
+    block = [np.array(cells)[:, None] for cells in zip(*coded)]
+    ems, dm = match_encoded(block, table)
+    assert ems.shape == dm.shape == (len(queries), table._distinct_entry.size)
+    for b, query in enumerate(queries):
+        one_ems, one_dm = match_vectors(query, table)
+        assert np.array_equal(ems[b], one_ems) and np.array_equal(dm[b], one_dm)

@@ -31,7 +31,7 @@ from fieldpred import (
 )
 from fieldpred.dataset import CATEGORICAL, _BadCell, _code_categorical, _infer_column, _is_real, _parse_continuous
 from fieldpred.predictors import REL_TIE_TOL
-from fieldpred.similarity import match_vectors
+from fieldpred.similarity import match_encoded, match_vectors
 
 LABEL_POOL = ("A", "B", "C")
 
@@ -306,6 +306,21 @@ def _naive_kernel_value(kernel: Kernel, d: float) -> float:
     else:  # pragma: no cover
         raise HarnessError(f"unknown kernel kind {kind!r}")
     return value
+
+
+def reference_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
+    """The density fit one distinct row at a time, each row's U terms summed
+    by ``math.fsum``: the plain loop the blocked fit must reproduce bit for bit."""
+    m = table.n_entries
+    multiplicity = table._label_counts.sum(axis=1)
+    row_tss = np.empty(multiplicity.size, dtype=np.float64)
+    coded_rows = zip(*(column.tolist() for column in table._col_data))
+    for u, row in enumerate(coded_rows):
+        _, dm = match_encoded(row, table)
+        row_tss[u] = math.fsum(kernel.evaluate(dm) * multiplicity)
+    tss = row_tss[table._distinct_of]
+    sts = math.fsum(tss)
+    return DensityModel(tss=tss, sts=sts, stavg=sts / m, dcf=sts / (m * tss))
 
 
 #: Header used for the synthesized outcome column when a table is written
