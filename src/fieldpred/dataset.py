@@ -180,40 +180,42 @@ class TrainingTable:
                 vocab, data = None, np.asarray(cells, dtype=np.float64)
             vocabs.append(vocab)
             columns.append(data)
-        self._build(schema, columns, vocabs, np.asarray(outcome_list, dtype=np.intp))
+        self._build(schema, columns, vocabs, np.arange(len(rows)), np.asarray(outcome_list, dtype=np.intp))
 
     @classmethod
     def _from_columns(cls, schema: Schema, columns: list[np.ndarray], vocabs: list[dict | None],
-                      outcomes: np.ndarray) -> TrainingTable:
-        """Build from checked columns: per attribute, M category codes into
-        ``vocabs[j]`` (category -> code) or M finite floats (vocab None)."""
+                      entry_row: np.ndarray, outcomes: np.ndarray) -> TrainingTable:
+        """Build from checked columns over R rows, each held by some entry i
+        (``entry_row[i]``): per attribute, R category codes into ``vocabs[j]``
+        (category -> code) or R finite floats (vocab None)."""
         table = cls.__new__(cls)
-        table._build(schema, columns, vocabs, outcomes)
+        table._build(schema, columns, vocabs, entry_row, outcomes)
         return table
 
     def _build(self, schema: Schema, columns: list[np.ndarray], vocabs: list[dict | None],
-               outcomes: np.ndarray) -> None:
+               entry_row: np.ndarray, outcomes: np.ndarray) -> None:
         """Collapse identical rows and derive the views predictors use.
 
         ``_distinct_of[i]`` is entry i's distinct row, ``_distinct_entry[u]``
         an entry holding row u, ``_col_data[j]`` column j over the U distinct
         rows (category codes as floats). Distinct rows are kept in
         lexicographic order of their coded cells, which does not depend on
-        the order of entries.
+        the order of entries or rows.
         """
         m = outcomes.size
         self._col_vocab = vocabs
-        self._col_data = [np.asarray(data, dtype=np.float64) for data in columns]
         self._outcomes = outcomes
-        self._distinct_of = np.zeros(m, dtype=np.intp)
-        for data in self._col_data:
-            # Renumber the rows by the columns so far; numbers stay below M.
+        distinct_of_row = np.zeros(int(entry_row.max()) + 1, dtype=np.intp)
+        for data in columns:
+            # Renumber the rows by the columns so far; numbers stay below R.
             codes = np.unique(data, return_inverse=True)[1]
-            self._distinct_of = np.unique(self._distinct_of * (codes.max() + 1) + codes, return_inverse=True)[1]
+            distinct_of_row = np.unique(distinct_of_row * (codes.max() + 1) + codes, return_inverse=True)[1]
+        self._distinct_of = distinct_of_row[entry_row]
         u, k = int(self._distinct_of.max()) + 1, len(schema.outcome_labels)
         self._distinct_entry = np.empty(u, dtype=np.intp)
         self._distinct_entry[self._distinct_of] = np.arange(m)
-        self._col_data = [data[self._distinct_entry] for data in self._col_data]
+        picked = entry_row[self._distinct_entry]
+        self._col_data = [np.asarray(data, dtype=np.float64)[picked] for data in columns]
         # Each entry's flat (distinct row, outcome) cell of the U x K count matrix.
         self._vote_cell = self._distinct_of * k + outcomes
         self._label_counts = np.bincount(self._vote_cell, minlength=u * k).reshape(u, k).astype(np.float64)
@@ -442,7 +444,7 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
         raise DataError(min(bad)[2])
     if schema is None:
         schema = Schema(tuple(specs), tuple(label_index))
-    return TrainingTable._from_columns(schema, [data[line_of] for data in coded], vocabs, outcomes[line_of])
+    return TrainingTable._from_columns(schema, coded, vocabs, line_of, outcomes[line_of])
 
 
 def validate_query(raw_cells: Sequence[str], schema: Schema) -> Query:

@@ -206,8 +206,9 @@ def _tuple_table(spec: SyntheticSpec, idx: np.ndarray, outcomes: np.ndarray) -> 
     """A table from tuple indices: attribute j's code is tuple digit j."""
     schema = spec.schema()
     vocabs = [{c: k for k, c in enumerate(a.categories)} for a in schema.attributes]
-    columns = list(np.unravel_index(idx, spec.cardinalities))
-    return TrainingTable._from_columns(schema, columns, vocabs, outcomes.astype(np.intp))
+    rows, entry_row = np.unique(idx, return_inverse=True)
+    columns = list(np.unravel_index(rows, spec.cardinalities))
+    return TrainingTable._from_columns(schema, columns, vocabs, entry_row, outcomes.astype(np.intp))
 
 
 def generate_point_test(spec: SyntheticSpec, tuple_values: Sequence[str], n: int, stream_id: int) -> TrainingTable:

@@ -45,7 +45,7 @@ REL_TIE_TOL = 1e-12
 MODEL_FILE_VERSION = 2
 
 #: Cells a density-fit block scores at once: B rows against all U rows.
-_DENSITY_BLOCK_CELLS = 1 << 16
+_DENSITY_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +193,7 @@ def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int
 def _predict_champions(model: FittedModel, dm: np.ndarray) -> Prediction:
     """delanga and nearest: label counts at the minimal distance; count ties
     go to delanga's level walk, or to label order with tie depth 1 for nearest."""
-    at_min = dm == dm.min()
-    counts = model.votes[at_min].sum(axis=0)
+    counts = model.votes[np.flatnonzero(dm == dm.min())].sum(axis=0)
     tied = np.flatnonzero(counts == counts.max())
     labels = model.table.schema.outcome_labels
     winner, depth = labels[int(tied[0])], int(tied.size > 1)
@@ -242,11 +241,12 @@ def _predict_field(model: FittedModel, dm: np.ndarray) -> Prediction:
 def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     """Score every distinct row against the whole table and derive dcf factors.
 
-    O(U^2 * N) for U distinct rows, scored in blocks of about 2^16 cells
-    (``max(1, 2^16 // U)`` rows against all U). Each row's tss equals
-    ``math.fsum`` of its U terms, so tss does not depend on the block
-    layout. Identical entries share one tss, which includes the entry's
-    own term.
+    O(U^2 * N) for U distinct rows, scored in blocks of about 2^14 cells
+    (``max(1, 2^14 // U)`` rows against all U), so that each float64
+    temporary stays within glibc's 128 KiB mmap threshold and the heap
+    reuses its pages. Each row's tss equals ``math.fsum`` of its U terms,
+    so tss does not depend on the block layout. Identical entries share
+    one tss, which includes the entry's own term.
     """
     m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
@@ -276,38 +276,41 @@ def _exact_row_sums(values: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of a 2-D array, bit for bit.
 
     fsum rounds the exact sum once, so any exact method agrees with it.
-    Each value's 53-bit significand splits into a whole-number high part
-    (26 bits) and low part (27 bits). ``np.bincount`` adds the high parts
-    per row and binary exponent, and the low parts the same way; with
-    fewer than 2^26 values a row, every such total stays below 2^53 and
-    is exact, and so is each total scaled back (subnormals included:
-    every value is a multiple of 2^-1074). A row's few hundred partials
-    then go to fsum. A row with a non-finite partial, or whose partials
-    overflow fsum, is summed by fsum directly, so it returns or raises
-    as fsum does. The one difference: where values of both signs cancel
-    below the float limit but fsum overflows on the way, this returns
-    the sum.
+    Each value's 53-bit significand at binary exponent e splits into a
+    whole-number high part (26 bits, scale 2^(e-26)) and low part (27
+    bits, scale 2^(e-53)). ``np.bincount`` adds, per row, the high parts
+    at exponent e and the low parts at e + 27, which share the scale
+    2^(e-26); with n values a row, each such slot total is below n * 2^27.
+    Runs of 26 - bit_length(n) slots are then added as whole numbers below
+    2^53, so with fewer than 2^25 values a row every step is exact, and so
+    is each total scaled back (subnormals included: every value is a
+    multiple of 2^-1074). A row's dozen or so partials then go to fsum.
+    A row with a non-finite partial, or whose partials overflow fsum, is
+    summed by fsum directly, so it returns or raises as fsum does. The one
+    difference: where values of both signs cancel below the float limit
+    but fsum overflows on the way, this returns the sum.
     """
-    n_rows = values.shape[0]
+    n_rows, n_values = values.shape
+    group = max(1, 26 - n_values.bit_length())
     with np.errstate(all="ignore"):
-        mantissa, exponent = np.frexp(values)
-        whole = mantissa * 2.0**53
-        high = np.trunc(whole * 2.0**-27)
-        low = whole - high * 2.0**27
+        low, exponent = np.frexp(values)
+        low *= 2.0**26
+        high = np.trunc(low)
+        low -= high
         lowest = int(exponent.min())
-        span = int(exponent.max()) - lowest + 1
-        bins = (exponent - lowest + span * np.arange(n_rows)[:, None]).ravel()
-        scale = np.arange(lowest, lowest + span)
-        partials = np.concatenate([
-            np.ldexp(np.bincount(bins, part.ravel(), n_rows * span).reshape(n_rows, span), scale - shift)
-            for part, shift in ((high, 26), (low, 53))
-        ], axis=1)
+        # Slot s of a row holds the parts of scale 2^(lowest - 53 + s).
+        span = -(-(int(exponent.max()) - lowest + 28) // group) * group
+        bins = (exponent - (lowest - 27) + span * np.arange(n_rows)[:, None]).ravel()
+        partials = np.bincount(bins, high.ravel(), n_rows * span)
+        bins -= 27
+        partials += np.bincount(bins, low.ravel(), n_rows * span) * 2.0**27
+        partials = partials.reshape(n_rows, span // group, group) @ 2.0 ** np.arange(group)
+        partials = np.ldexp(partials, np.arange(lowest - 53, lowest - 53 + span, group))
     direct = ~np.isfinite(partials).all(axis=1)
-    nonzero = partials != 0.0
     sums = np.empty(n_rows, dtype=np.float64)
-    for r in range(n_rows):
+    for r, row in enumerate(partials.tolist()):
         try:
-            sums[r] = math.fsum((values[r] if direct[r] else partials[r, nonzero[r]]).tolist())
+            sums[r] = math.fsum(values[r].tolist() if direct[r] else filter(None, row))
         except OverflowError:
             sums[r] = math.fsum(values[r].tolist())
     return sums
@@ -387,6 +390,9 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
         raise PredictorError(f"model file: columns must list {schema.n_attributes} objects")
     entry_row = _index_array(payload["entry_row"], m, u, "entry_row")
     outcomes = _index_array(payload["outcomes"], m, len(schema.outcome_labels), "outcomes")
+    # Rows no entry holds are dropped; the others keep their order.
+    named = np.bincount(entry_row, minlength=u) > 0
+    entry_row = (np.cumsum(named) - 1)[entry_row]
     coded, vocabs = [], []
     for spec, column in zip(schema.attributes, columns):
         what = f"column {spec.name!r}"
@@ -400,8 +406,8 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
         else:
             vocabs.append(None)
             data = _real_array(column["values"], u, f"{what} values")
-        coded.append(data[entry_row])
-    return TrainingTable._from_columns(schema, coded, vocabs, outcomes)
+        coded.append(data[named])
+    return TrainingTable._from_columns(schema, coded, vocabs, entry_row, outcomes)
 
 
 def _density_from_dict(payload, m: int) -> DensityModel:

@@ -39,11 +39,17 @@ def match_encoded(encoded: Sequence, table: TrainingTable) -> tuple[np.ndarray, 
     lead = getattr(encoded[0], "shape", ())[:-1] if len(encoded) else ()
     ems = np.zeros(lead + table._distinct_entry.shape, dtype=np.float64)
     for j, spec in enumerate(table.schema.attributes):
-        column = table._col_data[j]
+        column, w = table._col_data[j], spec.weight
         if spec.kind == CATEGORICAL or spec.range_width == 0.0:
-            cms = (column == encoded[j]).astype(np.float64)
+            hit = column == encoded[j]
+            ems += hit if w == 1.0 else np.multiply(hit, w)
         else:
-            cms = np.clip(1.0 - np.abs(column - encoded[j]) / spec.range_width, 0.0, 1.0)
-        ems += spec.weight * cms
+            # 1 - |c - q| / width in one buffer; only the clamp at 0 can bind.
+            cms = column - encoded[j]
+            np.abs(cms, out=cms)
+            cms /= spec.range_width
+            np.subtract(1.0, cms, out=cms)
+            np.maximum(cms, 0.0, out=cms)
+            ems += cms if w == 1.0 else np.multiply(cms, w, out=cms)
     dm = np.maximum(table.total_weight - ems, 0.0)
     return ems, dm

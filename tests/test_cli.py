@@ -263,6 +263,8 @@ def test_weights_summing_to_infinity_are_an_input_error(source, predictor, kerne
     # y weighs nothing, so the two rows sit at distance 0 and each one's
     # field is 1e308 + 1e308.
     pytest.param(["a,b,p", "a,d,q"], (1.0, 0.0), "1e308", id="one-row"),
+    # The same pair after 1,999 other rows: the density fit's last block.
+    pytest.param([f"{i},b,p" for i in range(2000)] + ["1999,d,q"], (1.0, 0.0), "1e308", id="later-block"),
 ])
 def test_overflowing_density_field_is_an_input_error(rows, weights, mld, tmp_path, capsys):
     train, schema = tmp_path / "train.csv", tmp_path / "schema.json"

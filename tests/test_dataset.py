@@ -269,6 +269,16 @@ def test_loaded_and_constructed_tables_share_one_coding():
     assert built.schema == table.schema
 
 
+def test_each_distinct_row_keeps_its_last_entry():
+    # "1" and "1.0" are one row, and so are "-0" and "0": the row keeps the
+    # cells of the last entry that holds it, whichever line that entry was.
+    text = b"a,b,label\nx,1,p\ny,2,q\nx,1.0,q\ny,2,p\nx,-0,p\nx,0,q\n"
+    for table in (load_table(text), csv_reference_load_table(text.decode())):
+        assert table._distinct_of.tolist() == [1, 2, 1, 2, 0, 0]
+        assert table._distinct_entry.tolist() == [5, 2, 3]
+        assert table._col_data[1].tolist() == [0.0, 1.0, 2.0] and not np.signbit(table._col_data[1][0])
+
+
 def test_total_weight_matches_full_match_accumulation():
     # A perfect match must land at distance exactly 0.0 even when the
     # weights do not sum cleanly in binary.
@@ -283,7 +293,8 @@ def test_total_weight_matches_full_match_accumulation():
 
 # Cells the split path takes as they are, and cells that are empty, quoted
 # or hold a CR (the last two send the text to csv.reader).
-CLEAN_CELLS = ["a", "b", "c", "1", "2.5", "-3", "1e400", "nan", "x y", " ", "\x00", "\u2028", "\x85"]
+CLEAN_CELLS = ["a", "b", "c", "1", "1.0", "0", "-0", "2.5", "-3", "1e400", "nan", "x y", " ", "\x00", "\u2028",
+               "\x85"]
 DIRTY_CELLS = ["", '"q,r"', '"s""t"', 'u"v', "\r", "d\re"]
 
 
@@ -320,7 +331,8 @@ def _loaded(load, text, schema, outcome_column):
     except (DataError, csv.Error) as exc:
         return type(exc), str(exc)
     return (table.schema, [(c.dtype, c.tobytes()) for c in table._col_data], table._col_vocab,
-            table._outcomes.tobytes(), table._distinct_of.tobytes(), table._label_counts.tobytes())
+            table._outcomes.tobytes(), table._distinct_of.tobytes(), table._distinct_entry.tobytes(),
+            table._label_counts.tobytes())
 
 
 @settings(max_examples=400, deadline=None)

@@ -455,6 +455,37 @@ def test_subnormal_terms_sum_exactly():
     assert_same_density(compute_density_model(table, kernel), reference_density_model(table, kernel))
 
 
+def ladder_table(n_rows: int, twin_of_last: bool = False) -> TrainingTable:
+    """``n_rows`` distinct rows (x = 0, 1, ..., n_rows - 1 and a categorical
+    column), sorted by x. With ``twin_of_last`` a row that differs from the
+    last only in the weightless column z sits at distance 0 from it."""
+    schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("c", "categorical", weight=0.25),
+                     AttributeSpec("z", "categorical", weight=0.0)), ("A", "B"))
+    rows = [(float(i), "pqr"[i % 3], "s") for i in range(n_rows)]
+    rows += [(float(n_rows - 1), "pqr"[(n_rows - 1) % 3], "t")] if twin_of_last else rows[:5]
+    return TrainingTable(schema, rows, [i % 2 for i in range(len(rows))])
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_density_fit_over_many_blocks_with_a_short_last_block_equals_the_per_row_fit(kind):
+    table = ladder_table(1000)
+    n_rows = table._distinct_entry.size
+    step = predictors._DENSITY_BLOCK_CELLS // n_rows
+    assert n_rows // step > 10 and n_rows % step != 0
+    kernel = make_kernel(kind, table.n_entries)
+    assert_same_density(compute_density_model(table, kernel), reference_density_model(table, kernel))
+
+
+def test_density_field_overflowing_in_a_later_block_is_an_input_error():
+    # Only the last two distinct rows, which sit at distance 0 from each
+    # other, carry fields of 1e308 + 1e308; every earlier block is finite.
+    table = ladder_table(2000, twin_of_last=True)
+    assert table._distinct_of[-2:].tolist() == [1999, 2000] and table._distinct_entry.size == 2001
+    assert predictors._DENSITY_BLOCK_CELLS // 2001 < 1999  # the first block holds neither
+    with pytest.raises(PredictorError, match="density field overflows"):
+        compute_density_model(table, make_kernel("newton", table.n_entries, 1e308))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_exact_row_sums_equal_fsum(seed):
@@ -468,6 +499,16 @@ def test_exact_row_sums_equal_fsum(seed):
         values *= rng.choice([-1.0, 1.0], shape)
     want = np.array([math.fsum(row) for row in values.tolist()])
     assert _exact_row_sums(values).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 4095, 20000])
+def test_exact_row_sums_hold_where_a_slot_group_is_fullest(n):
+    # Every significand is 53 one bits. The first value sets the lowest
+    # exponent; the low parts of the n - 1 others land in slot k of row k,
+    # so some row fills the top slot of each group as far as the bound allows.
+    largest = np.nextafter(1.0, 0.0)
+    rows = [[math.ldexp(largest, -40)] + [math.ldexp(largest, k - 40)] * (n - 1) for k in range(1, 28)]
+    assert _exact_row_sums(np.array(rows)).tolist() == [math.fsum(row) for row in rows]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -577,6 +618,19 @@ class TestModelFiles:
         loaded = load_model(DATA / "model_v2_trace.json")
         self.assert_predicts_like_a_fresh_fit(loaded)
         assert "trace" not in model_to_dict(loaded)
+
+    def test_version_2_rows_no_entry_holds_are_dropped(self):
+        model = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
+        payload = model_to_dict(model)
+        # A spare row ahead of the others, holding the extremes of each column.
+        for column in payload["columns"]:
+            cells = column.get("values", column.get("codes"))
+            cells.insert(0, max(cells) + 100 if "values" in column else len(column["categories"]) - 1)
+        payload["n_rows"] += 1
+        payload["entry_row"] = [u + 1 for u in payload["entry_row"]]
+        loaded = model_from_dict(payload)
+        assert loaded.table._distinct_entry.size == model.table._distinct_entry.size
+        self.assert_predicts_like_a_fresh_fit(loaded)
 
     def test_writes_version_2_without_indentation(self, tmp_path):
         path = tmp_path / "model.json"

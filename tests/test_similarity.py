@@ -225,3 +225,57 @@ def test_single_query_scores_equal_their_row_of_a_block(seed):
     for b, query in enumerate(queries):
         one_ems, one_dm = match_vectors(query, table)
         assert np.array_equal(ems[b], one_ems) and np.array_equal(dm[b], one_dm)
+
+
+@st.composite
+def weighted_mixed_cases(draw):
+    """A mixed table under weights of 0, 0.25, 1 and 3, with zero-width
+    continuous columns among the others, plus queries that fall outside the
+    column ranges or hold unseen categories."""
+    kinds = draw(st.lists(st.sampled_from(["categorical", "continuous", "constant"]), min_size=1, max_size=5))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=len(kinds), max_size=len(kinds)))
+    if sum(weights) == 0.0:
+        weights[0] = 0.25
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "categorical" if kind == "categorical" else "continuous",
+                                        weight=w) for j, (kind, w) in enumerate(zip(kinds, weights))), ("A", "B"))
+    real = st.sampled_from([-1.25, 0.0, 1.0 / 3.0, 0.5, 2.0])
+
+    def cell(kind, unseen):
+        if kind == "categorical":
+            return draw(st.sampled_from(["p", "q", "r"] + (["zz"] if unseen else [])))
+        if kind == "constant":
+            return draw(st.sampled_from([1.5] + ([1.25, 9.0] if unseen else [])))
+        return draw(real | st.sampled_from([-40.0, 7.5, 1e6]) if unseen else real)
+
+    rows = [tuple(cell(kind, False) for kind in kinds) for _ in range(draw(st.integers(1, 12)))]
+    queries = [Query(tuple(cell(kind, True) for kind in kinds)) for _ in range(draw(st.integers(0, 4)))]
+    table = TrainingTable(schema, rows, [draw(st.integers(0, 1)) for _ in rows])
+    return table, queries + [Query(rows[0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_mixed_cases())
+def test_weighted_scores_equal_the_scalar_oracle_bit_for_bit(case):
+    # Unit weights skip the multiply, and the clamp at 1 is not applied:
+    # both must leave every score's bits as the per-cell loop makes them.
+    table, queries = case
+    coded = [table.encode_query(q) for q in queries]
+    block_ems, block_dm = match_encoded([np.array(cells)[:, None] for cells in zip(*coded)], table)
+    for b, query in enumerate(queries):
+        ems, dm = match_vectors(query, table)
+        for i, u in enumerate(table._distinct_of):
+            want = entry_match_score(query, table, i)
+            for got_ems, got_dm in ((ems[u], dm[u]), (block_ems[b, u], block_dm[b, u])):
+                assert got_ems.tobytes() == np.float64(want.ems).tobytes()
+                assert got_dm.tobytes() == np.float64(want.dm).tobytes()
+
+
+def test_one_query_block_equals_the_single_query():
+    schema = Schema((AttributeSpec("c", "categorical", weight=0.25), AttributeSpec("x", "continuous", weight=3.0),
+                     AttributeSpec("z", "continuous")), ("A",))
+    table = TrainingTable(schema, [("p", 0.0, 2.0), ("q", 4.0, 2.0)], [0, 0])
+    query = Query(("unseen", -3.0, 2.0))
+    ems, dm = match_encoded([np.array([[cell]]) for cell in table.encode_query(query)], table)
+    assert ems.shape == dm.shape == (1, 2)
+    assert np.array_equal(ems[0], [1.75, 1.0]) and np.array_equal(dm[0], [2.5, 3.25])
+    assert all(np.array_equal(a[0], b) for a, b in zip((ems, dm), match_vectors(query, table)))

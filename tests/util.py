@@ -398,7 +398,7 @@ def csv_reference_load_table(text: str, schema: Schema | None = None,
         raise DataError(min(bad)[2])
     if schema is None:
         schema = Schema(tuple(specs), tuple(label_index))
-    return TrainingTable._from_columns(schema, coded, vocabs, outcomes)
+    return TrainingTable._from_columns(schema, coded, vocabs, np.arange(len(outcomes)), outcomes)
 
 
 def expected_tos_rates(
