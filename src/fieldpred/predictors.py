@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -42,7 +43,7 @@ PREDICTOR_KINDS = ("delanga", "rasturnat", "nearest")
 #: leading score are treated as exactly tied.
 REL_TIE_TOL = 1e-12
 
-MODEL_FILE_VERSION = 2
+MODEL_FILE_VERSION = 3
 
 #: Cells a density-fit block scores at once: B rows against all U rows.
 _DENSITY_BLOCK_CELLS = 1 << 14
@@ -70,8 +71,8 @@ class DensityModel:
 
 @dataclass(frozen=True, eq=False)
 class PredictionTrace:
-    """Per-entry evidence from ``explain``: the champion distance and entry
-    indices (delanga, nearest), or every entry's vote (rasturnat)."""
+    """``explain``'s evidence per entry, in entry order (canonical order after a counts load): the
+    champion distance and entry indices (delanga, nearest), or every entry's vote (rasturnat)."""
 
     champion_distance: float | None = None
     champion_rows: tuple[int, ...] | None = None
@@ -148,7 +149,7 @@ def predict(model: FittedModel, query: Query) -> Prediction:
 
 
 def explain(model: FittedModel, query: Query) -> PredictionTrace:
-    """The per-entry evidence behind ``predict(model, query)``, in entry order.
+    """The per-entry evidence behind ``predict(model, query)``, in entry order (canonical after a counts load).
 
     delanga and nearest: the minimal distance and the entries at it.
     rasturnat: each entry's kernel vote, times its dcf with density.
@@ -317,14 +318,17 @@ def _exact_row_sums(values: np.ndarray) -> np.ndarray:
 
 
 def model_to_dict(model: FittedModel) -> dict:
-    """Version 2: the U distinct rows column by column, and per entry its
-    distinct row and outcome, so entry order survives a round trip."""
+    """Version 3: the U distinct rows column by column and ``counts``, K lists
+    of U label counts; with a density, per entry its distinct row and outcome
+    instead, so that the per-entry tss and dcf keep their order."""
     table = model.table
     columns = [
         {"values": data.tolist()} if vocab is None
         else {"categories": list(vocab), "codes": data.astype(np.intp).tolist()}
         for vocab, data in zip(table._col_vocab, table._col_data)
     ]
+    entries = ({"counts": table._label_counts.T.astype(np.intp).tolist()} if model.density is None
+               else {"entry_row": table._distinct_of.tolist(), "outcomes": table._outcomes.tolist()})
     payload: dict = {
         "version": MODEL_FILE_VERSION,
         "predictor": model.predictor_kind,
@@ -332,8 +336,7 @@ def model_to_dict(model: FittedModel) -> dict:
         "n_entries": table.n_entries,
         "n_rows": table._distinct_entry.size,
         "columns": columns,
-        "entry_row": table._distinct_of.tolist(),
-        "outcomes": table._outcomes.tolist(),
+        **entries,
         "kernel": kernel_to_dict(model.kernel) if model.kernel is not None else None,
         "density": None,
     }
@@ -347,27 +350,29 @@ def model_to_dict(model: FittedModel) -> dict:
     return payload
 
 
-def _array(value, kinds: str, size: int, what: str) -> np.ndarray:
-    """A JSON list as a 1-D array of ``size`` items of numpy kinds ``kinds``."""
+def _array(value, kinds: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A JSON list, nested to ``shape``, of numbers (not booleans) as an array
+    of numpy kinds ``kinds``."""
     try:
         arr = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in kinds or arr.shape != (size,):
+    if arr is None or arr.dtype.kind not in kinds or arr.shape != shape or (
+            bool in set(map(type, chain.from_iterable(value) if len(shape) > 1 else value))):
         noun = "integers" if kinds == "i" else "numbers"
-        raise PredictorError(f"model file: {what} must list {size} {noun}")
+        raise PredictorError(f"model file: {what} must list {' lists of '.join(map(str, shape))} {noun}")
     return arr
 
 
 def _index_array(value, size: int, bound: int, what: str) -> np.ndarray:
-    arr = _array(value, "i", size, what)
+    arr = _array(value, "i", (size,), what)
     if arr.min() < 0 or arr.max() >= bound:
         raise PredictorError(f"model file: {what} must lie in 0..{bound - 1}")
     return arr.astype(np.intp)
 
 
 def _real_array(value, size: int, what: str) -> np.ndarray:
-    arr = _array(value, "if", size, what).astype(np.float64)
+    arr = _array(value, "if", (size,), what).astype(np.float64)
     if not np.isfinite(arr).all():
         raise PredictorError(f"model file: {what} must be finite")
     return arr
@@ -383,13 +388,25 @@ def _table_v1(payload: dict, schema: Schema) -> TrainingTable:
 
 def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
     m, u, columns = payload["n_entries"], payload["n_rows"], payload["columns"]
-    if not all(_is_int(n) and n >= 1 for n in (m, u)):
-        raise PredictorError("model file: n_entries and n_rows must be positive integers")
+    # Votes count exactly in float64 below 2^53, and numpy's entry total cannot wrap.
+    if not all(_is_int(n) and 1 <= n < 2**53 for n in (m, u)):
+        raise PredictorError("model file: n_entries and n_rows must be integers from 1 to 2^53 - 1")
     if not (isinstance(columns, list) and len(columns) == schema.n_attributes
             and all(isinstance(column, dict) for column in columns)):
         raise PredictorError(f"model file: columns must list {schema.n_attributes} objects")
-    entry_row = _index_array(payload["entry_row"], m, u, "entry_row")
-    outcomes = _index_array(payload["outcomes"], m, len(schema.outcome_labels), "outcomes")
+    k = len(schema.outcome_labels)
+    if "counts" in payload:  # entries in canonical order: distinct row, then label
+        counts = _array(payload["counts"], "i", (k, u), "counts")
+        if counts.min() < 0 or sum(counts.ravel().tolist()) != m:
+            raise PredictorError(f"model file: counts must be integers >= 0 that sum to n_entries ({m})")
+        try:
+            cells = np.repeat(np.arange(u * k), counts.T.ravel())
+        except MemoryError:
+            raise PredictorError(f"model file: {m} entries do not fit in memory") from None
+        entry_row, outcomes = cells // k, cells % k
+    else:
+        entry_row = _index_array(payload["entry_row"], m, u, "entry_row")
+        outcomes = _index_array(payload["outcomes"], m, k, "outcomes")
     # Rows no entry holds are dropped; the others keep their order.
     named = np.bincount(entry_row, minlength=u) > 0
     entry_row = (np.cumsum(named) - 1)[entry_row]
@@ -424,14 +441,14 @@ def _density_from_dict(payload, m: int) -> DensityModel:
 def model_from_dict(payload: dict) -> FittedModel:
     """Check a model document in one pass and rebuild the fitted model.
 
-    Version 2 files are written by ``model_to_dict``; version 1 files
-    (every entry's cells) still load. The ``trace`` key of older files
-    is ignored.
+    Version 3 files are written by ``model_to_dict``. Version 2 files
+    (always per-entry rows and outcomes) and version 1 files (every entry's
+    cells) still load. The ``trace`` key of older files is ignored.
     """
     if not isinstance(payload, dict):
         raise PredictorError("model document must be a JSON object")
     version = payload.get("version")
-    if version not in (1, MODEL_FILE_VERSION):
+    if not _is_int(version) or version not in (1, 2, MODEL_FILE_VERSION):
         raise PredictorError(f"unsupported model file version {version!r}")
     try:
         schema = schema_from_dict(payload["schema"])

@@ -18,6 +18,8 @@ from fieldpred.dataset import load_table, schema_to_dict
 from fieldpred.harness import all_tuples, spec_to_dict
 from fieldpred.predictors import model_to_dict
 
+from .util import as_version_2
+
 DATA = Path(__file__).parent / "data"
 
 TRAIN_CSV = """color,size,label
@@ -140,6 +142,11 @@ def _spliced_chain(depth: int) -> dict:
     return kernel
 
 
+def _v2(corrupt):
+    """``corrupt`` applied to the version 2 form of a version 3 counts document."""
+    return lambda payload: corrupt(as_version_2(payload))
+
+
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda payload: payload["kernel"].update(mld="nan"), id="nan-mld"),
     pytest.param(lambda payload: payload.pop("schema"), id="no-schema"),
@@ -147,13 +154,40 @@ def _spliced_chain(depth: int) -> dict:
     pytest.param(lambda payload: payload["columns"][1]["values"].__setitem__(0, None), id="null-cell"),
     pytest.param(lambda payload: payload["columns"][0]["codes"].__setitem__(0, None), id="null-code"),
     pytest.param(lambda payload: payload["columns"][0]["codes"].__setitem__(0, 7), id="code-out-of-range"),
-    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, 0.5), id="fractional-outcome"),
-    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, "yes"), id="string-outcome"),
-    pytest.param(lambda payload: payload["outcomes"].pop(), id="short-outcomes"),
-    pytest.param(lambda payload: payload["entry_row"].append(0), id="long-entry-row"),
-    pytest.param(lambda payload: payload["entry_row"].__setitem__(0, payload["n_rows"]), id="entry-row-past-u"),
+    # Version 2 lists every entry's row and outcome.
+    pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, 0.5)), id="fractional-outcome"),
+    pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, "yes")), id="string-outcome"),
+    pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, True)), id="bool-outcome"),
+    pytest.param(_v2(lambda payload: payload["outcomes"].pop()), id="short-outcomes"),
+    pytest.param(_v2(lambda payload: payload["entry_row"].append(0)), id="long-entry-row"),
+    pytest.param(_v2(lambda payload: payload["entry_row"].__setitem__(0, payload["n_rows"])), id="entry-row-past-u"),
+    pytest.param(_v2(lambda payload: payload.update(n_entries=6)), id="wrong-n-entries"),
+    # Version 3 holds the label counts, K lists of U: [[1, 1, 0, 0, 1], [0, 0, 1, 1, 0]].
+    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, 0.5), id="fractional-count"),
+    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, "1"), id="string-count"),
+    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, True), id="bool-count"),
+    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, 10**20), id="count-past-int64"),
+    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, None), id="null-count"),
+    pytest.param(lambda payload: payload.update(counts=[[-1, 1, 0, 0, 1], [2, 0, 1, 1, 0]]), id="negative-count"),
+    pytest.param(lambda payload: payload["counts"][0].pop(), id="short-counts"),
+    pytest.param(lambda payload: payload["counts"][0].append(0), id="long-counts"),
+    pytest.param(lambda payload: payload["counts"].pop(), id="missing-label-counts"),
+    pytest.param(lambda payload: payload["counts"].__setitem__(1, [[0]] * 5), id="nested-counts"),
+    pytest.param(lambda payload: payload.update(n_entries=6), id="counts-short-of-n-entries"),
+    pytest.param(lambda payload: payload.update(n_entries=4), id="counts-past-n-entries"),
+    pytest.param(lambda payload: payload.pop("counts"), id="no-counts"),
+    # numpy refuses 8e15 bytes up front, before touching any memory.
+    pytest.param(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [10**15, 0, 1, 1, 0]], n_entries=5 + 10**15),
+                 id="counts-past-memory"),
+    # Counts that sum to n_entries = 2^64 + 3, which would wrap numpy's int64 entry total.
+    pytest.param(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**62] * 4 + [0]], n_entries=3 + 2**64),
+                 id="counts-past-2-to-the-53"),
+    # Counts that sum to 2^64 + 3, which int64 arithmetic would read as n_entries = 3.
+    pytest.param(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**63 - 1, 2**63 - 1, 1, 1, 0]], n_entries=3),
+                 id="counts-wrapping-to-n-entries"),
     pytest.param(lambda payload: payload["columns"][1]["values"].pop(), id="short-column"),
-    pytest.param(lambda payload: payload.update(n_entries=6), id="wrong-n-entries"),
+    pytest.param(lambda payload: payload["columns"][1]["values"].__setitem__(0, True), id="bool-cell"),
+    pytest.param(lambda payload: payload.update(version=3.0), id="float-version"),
     pytest.param(lambda payload: payload["columns"].pop(), id="missing-column"),
     pytest.param(lambda payload: payload["schema"]["attributes"][0].pop("name"), id="unnamed-attribute"),
     pytest.param(lambda payload: payload["kernel"].update(mld=None), id="null-mld"),
@@ -191,6 +225,7 @@ def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, c
     pytest.param(lambda payload: payload["values"][0].__setitem__(1, None), id="null-cell"),
     pytest.param(lambda payload: payload["values"][0].__setitem__(0, 3), id="number-in-categorical"),
     pytest.param(lambda payload: payload["values"][0].pop(), id="short-row"),
+    pytest.param(lambda payload: payload.update(version=True), id="bool-version"),
     pytest.param(lambda payload: payload["outcomes"].__setitem__(0, 0.5), id="fractional-outcome"),
     pytest.param(lambda payload: payload["outcomes"].__setitem__(0, "yes"), id="string-outcome"),
     pytest.param(lambda payload: payload["density"]["dcf"].pop(), id="short-dcf"),
@@ -652,6 +687,8 @@ def _valid_documents() -> dict:
         "model-density": (model_to_dict(fit(table, "rasturnat", "newton", density=True)), predict_argv),
         "model-spliced": (model_to_dict(fit(table, "rasturnat", "spliced")), predict_argv),
         "model-v1": (json.loads((DATA / "model_v1_mixed_density.json").read_text()),
+                     ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
+        "model-v2": (json.loads((DATA / "model_v2_rasturnat.json").read_text()),
                      ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
         "schema": (schema_to_dict(table.schema), ["fit", "--train", "{train}", "--predictor", "delanga",
                                                   "--schema", "{path}"]),

@@ -590,19 +590,20 @@ class TestModelFiles:
             load_model(path)
 
     @staticmethod
-    def assert_predicts_like_a_fresh_fit(loaded):
-        fresh = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
+    def assert_predicts_like_a_fresh_fit(loaded, *args, density=True):
+        """Entries in CSV order, votes and predictions bit for bit, against
+        ``fit(mixed_train.csv, *args)`` (by default bridge with density)."""
+        fresh = fit(load_table(DATA / "mixed_train.csv"), *(args or ("rasturnat", "bridge")), density=density)
         assert loaded.table.values == fresh.table.values
         assert loaded.table.outcomes == fresh.table.outcomes
         assert loaded.table.schema == fresh.table.schema
-        assert np.array_equal(loaded.votes, fresh.votes)
+        assert loaded.votes.tobytes() == fresh.votes.tobytes()
         for color in ("red", "blue", "green", "violet"):
             for size in (0.75, 1.5, 2.2, 4.25, 9.0):
                 for shape in ("round", "square"):
                     query = Query((color, size, shape))
-                    a, b = predict(fresh, query), predict(loaded, query)
-                    assert (a.scores, a.likelihoods, a.winner, a.tie_depth) == \
-                        (b.scores, b.likelihoods, b.winner, b.tie_depth)
+                    assert prediction_bits(predict(fresh, query)) == prediction_bits(predict(loaded, query))
+        return fresh
 
     def test_version_1_file_predicts_like_a_fresh_fit(self):
         # Written by the version 1 writer from mixed_train.csv with
@@ -619,31 +620,60 @@ class TestModelFiles:
         self.assert_predicts_like_a_fresh_fit(loaded)
         assert "trace" not in model_to_dict(loaded)
 
-    def test_version_2_rows_no_entry_holds_are_dropped(self):
-        model = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
-        payload = model_to_dict(model)
-        # A spare row ahead of the others, holding the extremes of each column.
+    @pytest.mark.parametrize("args", [("delanga",), ("nearest",), ("rasturnat", "bridge")], ids=lambda a: a[0])
+    def test_version_2_file_of_each_predictor_loads_to_the_same_bits(self, args):
+        # Written by the version 2 writer from mixed_train.csv with
+        # `fit --predictor P` (and `--kernel bridge` for rasturnat).
+        path = DATA / f"model_v2_{args[0]}.json"
+        assert json.loads(path.read_text())["version"] == 2
+        loaded = load_model(path)
+        fresh = self.assert_predicts_like_a_fresh_fit(loaded, *args, density=False)
+        assert model_to_dict(loaded) == model_to_dict(fresh)
+
+    @staticmethod
+    def add_spare_row(payload):
+        """A spare row ahead of the others, holding the extremes of each column."""
         for column in payload["columns"]:
             cells = column.get("values", column.get("codes"))
             cells.insert(0, max(cells) + 100 if "values" in column else len(column["categories"]) - 1)
         payload["n_rows"] += 1
+
+    def test_version_2_rows_no_entry_holds_are_dropped(self):
+        model = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
+        payload = model_to_dict(model)
+        payload["version"] = 2
+        self.add_spare_row(payload)
         payload["entry_row"] = [u + 1 for u in payload["entry_row"]]
         loaded = model_from_dict(payload)
         assert loaded.table._distinct_entry.size == model.table._distinct_entry.size
         self.assert_predicts_like_a_fresh_fit(loaded)
 
-    def test_writes_version_2_without_indentation(self, tmp_path):
+    def test_rows_with_no_counts_are_dropped(self):
+        model = fit(load_table(DATA / "mixed_train.csv"), "delanga")
+        payload = model_to_dict(model)
+        self.add_spare_row(payload)
+        for row in payload["counts"]:
+            row.insert(0, 0)
+        assert model_to_dict(model_from_dict(payload)) == model_to_dict(model)
+
+    def test_writes_version_3_without_indentation(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(fit(load_table(DATA / "mixed_train.csv"), "delanga"), path)
         text = path.read_text()
-        assert json.loads(text)["version"] == 2
+        assert json.loads(text)["version"] == 3
         assert text.count("\n") == 1
+
+
+def prediction_bits(p) -> tuple:
+    """A prediction with every float as its hex form, so that equal means bit for bit."""
+    return ([(k, v.hex()) for k, v in p.scores.items()], [(k, v.hex()) for k, v in p.likelihoods.items()],
+            p.winner, p.tie_depth)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["delanga", "nearest", "rasturnat"]),
        st.sampled_from(["bridge", "newton", "pow_2", "adj_pow_2", "spliced"]), st.booleans())
-def test_version_2_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
+def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
     rng = np.random.default_rng(seed)
     table, queries = random_mixed_instance(rng)
     if predictor == "rasturnat":
@@ -653,17 +683,26 @@ def test_version_2_round_trip_matches_the_fitted_model(seed, predictor, kernel, 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_model(model, path)
+        text = path.read_text()
         loaded = load_model(path)
-    assert loaded.table.values == table.values
-    assert loaded.table.outcomes == table.outcomes
-    assert loaded.table.schema == table.schema
-    assert np.array_equal(loaded.votes, model.votes)
+        save_model(loaded, path)
+        assert path.read_text() == text
+        reloaded = load_model(path)
+    # A density keeps the entry order; otherwise the entries come back in
+    # canonical order: distinct row, then label.
+    order = np.lexsort((table._outcomes, table._distinct_of))
+    if model.density is not None:
+        order = np.arange(table.n_entries)
+    for got in (loaded, reloaded):
+        assert got.table.values == tuple(table.values[i] for i in order)
+        assert got.table.outcomes == tuple(table.outcomes[i] for i in order)
+        assert got.table.schema == table.schema
+        assert got.votes.tobytes() == model.votes.tobytes()
     if model.density is None:
         assert loaded.density is None
     else:
         for name in ("tss", "dcf"):
-            assert np.array_equal(getattr(loaded.density, name), getattr(model.density, name))
+            assert getattr(loaded.density, name).tobytes() == getattr(model.density, name).tobytes()
         assert (loaded.density.sts, loaded.density.stavg) == (model.density.sts, model.density.stavg)
     for query in queries:
-        a, b = predict(model, query), predict(loaded, query)
-        assert (a.scores, a.likelihoods, a.winner, a.tie_depth) == (b.scores, b.likelihoods, b.winner, b.tie_depth)
+        assert prediction_bits(predict(model, query)) == prediction_bits(predict(loaded, query))

@@ -419,3 +419,13 @@ def expected_tos_rates(
         d = sum(1 for a, b in zip(q, t) if a != b)
         rates += spec.probs[i] * spec.conditionals[i] * weight_by_distance[d]
     return rates
+
+
+def as_version_2(payload: dict) -> dict:
+    """A version 3 model document with ``counts``, rewritten in place as
+    version 2: one ``entry_row`` and ``outcomes`` item per entry, listed in
+    canonical order (distinct row, then label)."""
+    counts = payload.pop("counts")
+    cells = [(u, k) for u in range(payload["n_rows"]) for k, row in enumerate(counts) for _ in range(row[u])]
+    payload.update(version=2, entry_row=[u for u, _ in cells], outcomes=[k for _, k in cells])
+    return payload
