@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +30,9 @@ CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
 
 SCHEMA_FILE_VERSION = 1
+
+#: Distinct lines ``load_table`` splits, types and codes at once.
+_LOAD_CHUNK_LINES = 1 << 12
 
 
 def _parse_finite(cell: str) -> float | None:
@@ -169,8 +172,9 @@ class TrainingTable:
                 for i, cell in enumerate(cells):
                     if not isinstance(cell, str):
                         raise DataError(f"entry {i}, {where}: expected a string, got {type(cell).__name__}")
+                vocab = {c: k for k, c in enumerate(spec.categories or ())}
                 try:
-                    vocab, data = _code_categorical(cells, spec.categories)
+                    data = _code_categorical(cells, vocab, spec.categories is None)
                 except _BadCell as exc:
                     raise DataError(f"entry {exc.row}, {where}: unknown category {cells[exc.row]!r}") from None
             else:
@@ -219,9 +223,12 @@ class TrainingTable:
         # Each entry's flat (distinct row, outcome) cell of the U x K count matrix.
         self._vote_cell = self._distinct_of * k + outcomes
         self._label_counts = np.bincount(self._vote_cell, minlength=u * k).reshape(u, k).astype(np.float64)
+        # Each continuous column's (min, max), which tell where match scores need their clamp.
+        self._col_bounds = [(column.min(), column.max()) if spec.kind == CONTINUOUS else None
+                            for spec, column in zip(schema.attributes, self._col_data)]
         attrs = tuple(
-            replace(spec, range_width=float(column.max() - column.min())) if spec.kind == CONTINUOUS else spec
-            for spec, column in zip(schema.attributes, self._col_data)
+            replace(spec, range_width=float(bounds[1] - bounds[0])) if bounds else spec
+            for spec, bounds in zip(schema.attributes, self._col_bounds)
         )
         self.schema = Schema(attrs, schema.outcome_labels)
         self.total_weight = self.schema.total_weight
@@ -283,14 +290,16 @@ class _BadCell(Exception):
         self.row = row
 
 
-def _code_categorical(cells: Sequence[str], categories: Sequence[str] | None) -> tuple[dict, np.ndarray]:
-    """Vocabulary (the given categories, else first-seen order) and the cells' codes."""
-    vocab = {c: k for k, c in enumerate(dict.fromkeys(cells) if categories is None else categories)}
+def _code_categorical(cells: Sequence[str], vocab: dict, grow: bool) -> np.ndarray:
+    """The cells' codes in ``vocab`` (category -> code), which first takes
+    in the cells it lacks, in first-seen order, if ``grow``."""
+    if grow:
+        for cell in dict.fromkeys(cells):
+            vocab.setdefault(cell, len(vocab))
     try:
-        codes = np.fromiter(map(vocab.__getitem__, cells), dtype=np.intp, count=len(cells))
+        return np.fromiter(map(vocab.__getitem__, cells), dtype=np.intp, count=len(cells))
     except KeyError:
         raise _BadCell(next(i for i, c in enumerate(cells) if c not in vocab)) from None
-    return vocab, codes
 
 
 def _parse_continuous(cells: Sequence[str]) -> np.ndarray:
@@ -302,14 +311,6 @@ def _parse_continuous(cells: Sequence[str]) -> np.ndarray:
     if data is None or not np.isfinite(data).all():
         raise _BadCell(next(i for i, c in enumerate(cells) if _parse_finite(c) is None))
     return data
-
-
-def _infer_column(name: str, cells: Sequence[str]) -> tuple[AttributeSpec, np.ndarray | None]:
-    """The column's spec, plus its floats when it is continuous."""
-    try:
-        return AttributeSpec(name=name, kind=CONTINUOUS), _parse_continuous(cells)
-    except _BadCell:
-        return AttributeSpec(name=name, kind=CATEGORICAL, categories=tuple(dict.fromkeys(cells))), None
 
 
 def _read_text(source) -> str:
@@ -333,60 +334,70 @@ def _read_json(source, error_cls: type[Exception], what: str):
         raise error_cls(f"invalid {what} file: {exc}") from None
 
 
-def _dedupe(items: list) -> tuple[list, np.ndarray, np.ndarray]:
+def _dedupe(items: Iterable) -> tuple[list, np.ndarray, np.ndarray]:
     """The distinct items in first-seen order, each item's index among them,
     and the position where each distinct item first appears."""
-    index = {item: u for u, item in enumerate(dict.fromkeys(items))}
-    line_of = np.fromiter(map(index.__getitem__, items), dtype=np.intp, count=len(items))
+    index: dict = {}
+    line_of = np.fromiter((index.setdefault(item, len(index)) for item in items), dtype=np.intp)
     # Indices are handed out in first-seen order, so an item first appears
     # exactly where the running maximum index grows.
     return list(index), line_of, np.flatnonzero(np.diff(np.maximum.accumulate(line_of), prepend=-1))
 
 
-def _split_csv(text: str) -> tuple[list[str], list[Sequence], np.ndarray, np.ndarray]:
-    """The header, the columns of the distinct data lines in first-seen order,
-    each data line's distinct index (``line_of``), and the data row where
-    each distinct line first appears (``first_row``).
+def _split_csv(text: str) -> tuple[list[str], list, np.ndarray, np.ndarray]:
+    """The header, the distinct data lines in first-seen order, each data
+    line's distinct index (``line_of``), and the data row where each
+    distinct line first appears (``first_row``).
 
-    Text with no quote and no CR, whose distinct lines each hold as many
-    cells as the header, is split on newlines and commas. Any other text is
-    read by csv.reader; there a short row's cells are padded with None, for
-    ``load_table`` to diagnose.
+    Text with no quote and no CR, whose data lines each hold as many
+    non-empty cells as the header, is split on newlines: its distinct lines
+    are strings, which ``load_table`` splits on commas. Any other text is
+    read by csv.reader one row at a time: its distinct lines are tuples of
+    cells, perhaps ragged or empty, for ``load_table`` to diagnose.
     """
     if '"' not in text and "\r" not in text:
         lines = text.split("\n")
         if lines[-1] == "":
             lines.pop()
-        if len(lines) > 1:
+        # After the header, an empty cell is ",," or a comma at a line's end or start.
+        if len(lines) > 1 and not text.endswith(",") and all(
+                text.find(edge, len(lines[0])) < 0 for edge in (",,", ",\n", "\n,")):
             header = lines[0].split(",")
-            width = len(header)
-            distinct, line_of, first_row = _dedupe(lines[1:])
-            if all(line.count(",") == width - 1 for line in distinct):
-                cells = ",".join(distinct).split(",")
-                return header, [cells[j::width] for j in range(width)], line_of, first_row
+            distinct, line_of, first_row = _dedupe(islice(lines, 1, None))
+            if all(line.count(",") == len(header) - 1 for line in distinct):
+                return header, distinct, line_of, first_row
     reader = csv.reader(io.StringIO(text))
     try:
-        raw = list(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataError("empty table: no header row")
+        distinct, line_of, first_row = _dedupe(map(tuple, reader))
     except csv.Error as exc:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
-    if not raw:
-        raise DataError("empty table: no header row")
-    if len(raw) == 1:
+    if not distinct:
         raise DataError("empty table: no data rows")
-    rows, line_of, first_row = _dedupe(list(map(tuple, raw[1:])))
-    return raw[0], list(zip_longest(*rows)), line_of, first_row
+    return header, distinct, line_of, first_row
+
+
+def _chunk_columns(lines: list, width: int, picked: list[int]) -> list[list[str]]:
+    """The cells of distinct lines from ``_split_csv`` in each column ``picked``."""
+    cells = ",".join(lines).split(",") if isinstance(lines[0], str) else list(chain.from_iterable(lines))
+    return [cells[i::width] for i in picked]
 
 
 def load_table(source, schema: Schema | None = None, outcome_column: str | None = None) -> TrainingTable:
     """Load a CSV (header row, outcome column last unless named) into a table.
 
-    When ``schema`` is omitted it is inferred from the data. Each distinct
-    line is typed and coded once, column by column. Rejected with
-    line-numbered diagnostics that name the first bad cell in file order:
-    ragged rows, empty cells, unparseable or non-finite continuous cells,
-    categories or outcome labels outside an explicit schema.
+    When ``schema`` is omitted it is inferred: a column is continuous if
+    every cell is a finite float, else categorical in first-seen order.
+    Distinct lines are typed and coded once, ``_LOAD_CHUNK_LINES`` at a
+    time, straight into one array per column, so the cell strings alive at
+    once grow with the chunk, not the table. Rejected with line-numbered
+    diagnostics that name the first bad cell in file order (ragged rows and
+    empty cells before all others): unparseable or non-finite continuous
+    cells, categories or outcome labels outside an explicit schema.
     """
-    header, columns, line_of, first_row = _split_csv(_read_text(source))
+    header, distinct, line_of, first_row = _split_csv(_read_text(source))
     if len(header) < 2:
         raise DataError("need at least one attribute column and one outcome column")
 
@@ -399,52 +410,70 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
             raise DataError(f"outcome column {outcome_column!r} not in header") from None
 
     width = len(header)
-    # File line of each distinct line's first appearance.
-    line_no = (first_row + 2).tolist()
-    if len(columns) != width or any(None in cells or "" in cells for cells in columns):
-        for u, k in enumerate(line_no):
-            row = [cells[u] for cells in columns if cells[u] is not None]
+    if not isinstance(distinct[0], str):  # rows from csv.reader
+        for row, first in zip(distinct, first_row.tolist()):
             if len(row) != width:
-                raise DataError(f"ragged row at line {k}: expected {width} cells, got {len(row)}")
+                raise DataError(f"ragged row at line {first + 2}: expected {width} cells, got {len(row)}")
             if "" in row:
-                raise DataError(f"empty cell at line {k}: missing values are not supported")
+                raise DataError(f"empty cell at line {first + 2}: missing values are not supported")
 
     attr_cols = [i for i in range(width) if i != out_idx]
     if schema is not None and schema.n_attributes != len(attr_cols):
-        raise DataError(
-            f"schema has {schema.n_attributes} attributes, file has {len(attr_cols)}"
-        )
-    specs, vocabs, coded = [], [], []
-    # (distinct line, column position, message) of each column's first bad
-    # cell; distinct lines are in first-seen order, so the least is the
-    # first in file order.
+        raise DataError(f"schema has {schema.n_attributes} attributes, file has {len(attr_cols)}")
+    # The coded columns: the attributes, then the outcome as a categorical
+    # column. A spec of None is inferred. A column has a vocabulary
+    # (category -> code) unless it is continuous, or taken to be so far.
+    cols = attr_cols + [out_idx]
+    given = list(schema.attributes) if schema is not None else [None] * len(attr_cols)
+    given.append(AttributeSpec(header[out_idx], CATEGORICAL,
+                               categories=None if schema is None else schema.outcome_labels))
+    vocabs = [None if spec is None or spec.kind == CONTINUOUS else {c: k for k, c in enumerate(spec.categories or ())}
+              for spec in given]
+    n, step = len(distinct), _LOAD_CHUNK_LINES
+    data = [np.empty(n, dtype=np.float64 if vocab is None else np.intp) for vocab in vocabs]
+    # (distinct line, coded column, cell) of each bad cell in the first chunk
+    # that has one; distinct lines are in first-seen order, so the least is
+    # the first in file order.
     bad: list[tuple[int, int, str]] = []
-    given = schema.attributes if schema is not None else [None] * len(attr_cols)
-    for j, (i, spec) in enumerate(zip(attr_cols, given)):
-        cells, vocab, data_j = columns[i], None, None
-        if spec is None:
-            spec, data_j = _infer_column(header[i], cells)
-        try:
-            if spec.kind == CATEGORICAL:
-                vocab, data_j = _code_categorical(cells, spec.categories)
-            elif data_j is None:
-                data_j = _parse_continuous(cells)
-        except _BadCell as exc:
-            what = "unknown category" if spec.kind == CATEGORICAL else "cannot parse continuous cell"
-            bad.append((exc.row, j, f"{what} {cells[exc.row]!r} at line {line_no[exc.row]}, column {spec.name!r}"))
-        specs.append(spec)
-        vocabs.append(vocab)
-        coded.append(data_j)
-    try:
-        label_index, outcomes = _code_categorical(columns[out_idx], None if schema is None else schema.outcome_labels)
-    except _BadCell as exc:
-        bad.append((exc.row, len(attr_cols),
-                    f"unknown outcome label {columns[out_idx][exc.row]!r} at line {line_no[exc.row]}"))
-    if bad:
-        raise DataError(min(bad)[2])
+    for start in range(0, n, step):
+        columns = _chunk_columns(distinct[start:start + step], width, cols)
+        demoted = []
+        for j, column in enumerate(columns):
+            if vocabs[j] is None:
+                try:
+                    data[j][start:start + step] = _parse_continuous(column)
+                except _BadCell as exc:
+                    if given[j] is not None:
+                        bad.append((start + exc.row, j, column[exc.row]))
+                    else:  # to be coded as categories, from the first chunk on
+                        demoted.append(j)
+                        vocabs[j], data[j] = {}, np.empty(n, dtype=np.intp)
+        if demoted:
+            for before in range(0, start, step):
+                earlier = _chunk_columns(distinct[before:before + step], width, [cols[j] for j in demoted])
+                for j, column in zip(demoted, earlier):
+                    data[j][before:before + step] = _code_categorical(column, vocabs[j], True)
+        for j, column in enumerate(columns):
+            if vocabs[j] is not None:
+                try:
+                    grow = given[j] is None or given[j].categories is None
+                    data[j][start:start + step] = _code_categorical(column, vocabs[j], grow)
+                except _BadCell as exc:
+                    bad.append((start + exc.row, j, column[exc.row]))
+        if bad:
+            u, j, cell = min(bad)
+            line = first_row[u] + 2
+            if j == len(attr_cols):
+                raise DataError(f"unknown outcome label {cell!r} at line {line}")
+            what = "cannot parse continuous cell" if vocabs[j] is None else "unknown category"
+            raise DataError(f"{what} {cell!r} at line {line}, column {given[j].name!r}")
+    del distinct, columns  # every line is coded; free the strings before the table is built
     if schema is None:
-        schema = Schema(tuple(specs), tuple(label_index))
-    return TrainingTable._from_columns(schema, coded, vocabs, line_of, outcomes[line_of])
+        specs = (AttributeSpec(header[i], CONTINUOUS) if vocab is None
+                 else AttributeSpec(header[i], CATEGORICAL, categories=tuple(vocab))
+                 for i, vocab in zip(attr_cols, vocabs))
+        schema = Schema(tuple(specs), tuple(vocabs[-1]))
+    return TrainingTable._from_columns(schema, data[:-1], vocabs[:-1], line_of, data[-1][line_of])
 
 
 def validate_query(raw_cells: Sequence[str], schema: Schema) -> Query:

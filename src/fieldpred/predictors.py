@@ -430,12 +430,19 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
 def _density_from_dict(payload, m: int) -> DensityModel:
     if not isinstance(payload, dict) or not (_is_finite_real(payload["sts"]) and _is_finite_real(payload["stavg"])):
         raise PredictorError("model file: density needs tss, dcf, and finite sts and stavg")
-    return DensityModel(
+    density = DensityModel(
         tss=_real_array(payload["tss"], m, "density tss"),
         sts=float(payload["sts"]),
         stavg=float(payload["stavg"]),
         dcf=_real_array(payload["dcf"], m, "density dcf"),
     )
+    # The fit's own expressions, bit for bit (see compute_density_model).
+    with np.errstate(over="ignore"):
+        dcf = density.sts / (m * density.tss)
+    if not (density.sts == math.fsum(density.tss.tolist()) and density.stavg == density.sts / m
+            and np.array_equal(density.dcf, dcf)):
+        raise PredictorError("model file: density sts, stavg and dcf disagree with tss")
+    return density
 
 
 def model_from_dict(payload: dict) -> FittedModel:
@@ -466,6 +473,8 @@ def model_from_dict(payload: dict) -> FittedModel:
         raise PredictorError(f"model file holds predictor {predictor!r} with kernel {payload.get('kernel')!r}")
     if density is not None and kernel is None:
         raise PredictorError("model file holds a density for a predictor without a kernel")
+    if version == MODEL_FILE_VERSION and ("counts" in payload) == (density is not None):
+        raise PredictorError("model file: version 3 lists counts when it has no density, else entry_row and outcomes")
     return FittedModel(table, predictor, kernel=kernel, density=density)
 
 

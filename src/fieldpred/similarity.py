@@ -44,12 +44,16 @@ def match_encoded(encoded: Sequence, table: TrainingTable) -> tuple[np.ndarray, 
             hit = column == encoded[j]
             ems += hit if w == 1.0 else np.multiply(hit, w)
         else:
-            # 1 - |c - q| / width in one buffer; only the clamp at 0 can bind.
-            cms = column - encoded[j]
+            # 1 - |c - q| / width in one buffer. Rounding is monotone, so the clamp at 0
+            # binds only for a query farther than the width from the column's min or max.
+            q, (lo, hi) = encoded[j], table._col_bounds[j]
+            q_lo, q_hi = (q.min(), q.max()) if isinstance(q, np.ndarray) else (q, q)
+            cms = column - q
             np.abs(cms, out=cms)
             cms /= spec.range_width
             np.subtract(1.0, cms, out=cms)
-            np.maximum(cms, 0.0, out=cms)
+            if not max(hi - q_lo, q_hi - lo) <= spec.range_width:
+                np.maximum(cms, 0.0, out=cms)
             ems += cms if w == 1.0 else np.multiply(cms, w, out=cms)
-    dm = np.maximum(table.total_weight - ems, 0.0)
-    return ems, dm
+    # Each column adds at most its weight, in total_weight's order, so dm >= 0 unclamped.
+    return ems, table.total_weight - ems

@@ -147,6 +147,16 @@ def _v2(corrupt):
     return lambda payload: corrupt(as_version_2(payload))
 
 
+def _with_density(corrupt):
+    """``corrupt`` applied, in place, to a version 3 document of the same
+    table fitted with a density, which lists entry_row and outcomes."""
+    def apply(payload):
+        payload.clear()
+        payload.update(copy.deepcopy(DOCUMENTS["model-density"][0]))
+        corrupt(payload)
+    return apply
+
+
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda payload: payload["kernel"].update(mld="nan"), id="nan-mld"),
     pytest.param(lambda payload: payload.pop("schema"), id="no-schema"),
@@ -203,6 +213,17 @@ def _v2(corrupt):
                  id="residue-mld-past-float-precision"),
     pytest.param(lambda payload: payload.update(predictor="delanga", kernel=None, density={
         "tss": [1.0] * 5, "dcf": [1.0] * 5, "sts": 5.0, "stavg": 1.0}), id="density-without-kernel"),
+    # Density fields must be the fit's own expressions of tss, bit for bit.
+    pytest.param(_with_density(lambda payload: payload["density"].update(stavg=-1.0)), id="negative-stavg"),
+    pytest.param(_with_density(lambda payload: payload["density"]["tss"].__setitem__(0, 3)), id="tss-off-dcf"),
+    pytest.param(_with_density(lambda payload: payload["density"].update(sts=payload["density"]["sts"] * 2)),
+                 id="sts-off-tss"),
+    pytest.param(_with_density(lambda payload: payload["density"]["dcf"].__setitem__(0, 1.0)), id="dcf-off-tss"),
+    # Version 3 lists entry_row and outcomes only with a density, counts only without one.
+    pytest.param(_with_density(lambda payload: payload.update(density=None)), id="entry-rows-with-null-density"),
+    pytest.param(_with_density(lambda payload: payload.pop("density")), id="entry-rows-without-density"),
+    pytest.param(lambda payload: payload.update(density=DOCUMENTS["model-density"][0]["density"]),
+                 id="counts-with-density"),
     pytest.param(lambda payload: payload["kernel"].update(kind="pow_2", grow_kind="pow_2"), id="grow-kind-on-pow-2"),
     pytest.param(lambda payload: payload["kernel"].update(kind="bridge", base={"kind": "gauss", "mld": 5.0}),
                  id="base-on-bridge"),

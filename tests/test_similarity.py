@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,3 +281,46 @@ def test_one_query_block_equals_the_single_query():
     assert ems.shape == dm.shape == (1, 2)
     assert np.array_equal(ems[0], [1.75, 1.0]) and np.array_equal(dm[0], [2.5, 3.25])
     assert all(np.array_equal(a[0], b) for a, b in zip((ems, dm), match_vectors(query, table)))
+
+
+@st.composite
+def reach_cases(draw):
+    """A weighted continuous table plus queries at, just inside and just past
+    one width from each column's min and max, where the clamp at 0 starts to bind."""
+    n_cols = draw(st.integers(1, 4))
+    # Rounded, as benchmark tables are, so no width is small enough to overflow |c - q| / width.
+    real = st.floats(-1e3, 1e3).map(lambda x: round(x, 6))
+    weights = draw(st.lists(st.sampled_from([0.1, 1.0 / 3.0, 1.0, 3.0]), min_size=n_cols, max_size=n_cols))
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "continuous", weight=w) for j, w in enumerate(weights)), ("A",))
+    rows = draw(st.lists(st.tuples(*[real] * n_cols), min_size=1, max_size=8))
+    table = TrainingTable(schema, rows, [0] * len(rows))
+    reach = []
+    for j, spec in enumerate(table.schema.attributes):
+        lo, hi = min(row[j] for row in rows), max(row[j] for row in rows)
+        edges = [hi - spec.range_width, lo + spec.range_width, lo, hi]
+        reach.append(edges + [math.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)])
+    queries = [Query(tuple(draw(st.sampled_from(cells) | real) for cells in reach))
+               for _ in range(draw(st.integers(1, 4)))]
+    return table, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(reach_cases())
+def test_distances_stay_nonnegative_where_the_clamps_are_skipped(case):
+    # Single queries, a block of them, and a block of the table's own rows
+    # (as the density fit scores): no distance below 0, no -0.0, and every
+    # score as the clamping per-cell loop makes it.
+    table, queries = case
+    rows = [table._col_data[j][table._distinct_of][:, None] for j in range(table.n_attributes)]
+    coded = [np.array(cells)[:, None] for cells in zip(*map(table.encode_query, queries))]
+    checks = [(table.values, rows), (queries, coded)] + [([query], table.encode_query(query)) for query in queries]
+    for block_queries, block in checks:
+        ems, dm = match_encoded(block, table)
+        ems, dm = ems.reshape(len(block_queries), -1), dm.reshape(len(block_queries), -1)
+        assert (dm >= 0.0).all() and not np.signbit(dm).any() and not np.signbit(ems).any()
+        for b, query in enumerate(block_queries):
+            query = query if isinstance(query, Query) else Query(query)
+            for i, u in enumerate(table._distinct_of):
+                want = entry_match_score(query, table, i)
+                assert ems[b, u].tobytes() == np.float64(want.ems).tobytes()
+                assert dm[b, u].tobytes() == np.float64(want.dm).tobytes()

@@ -29,7 +29,7 @@ from fieldpred import (
     TrainingTable,
     predict,
 )
-from fieldpred.dataset import CATEGORICAL, _BadCell, _code_categorical, _infer_column, _is_real, _parse_continuous
+from fieldpred.dataset import CATEGORICAL, CONTINUOUS, _is_real
 from fieldpred.predictors import REL_TIE_TOL
 from fieldpred.similarity import match_encoded, match_vectors
 
@@ -339,6 +339,23 @@ def serialize_table(table: TrainingTable) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _finite_float(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _reference_codes(cells: Sequence[str], categories: Sequence[str] | None) -> tuple[dict, list[int]]:
+    """The vocabulary (the given categories, else first-seen order) and each cell's code, -1 outside it."""
+    vocab: dict = {}
+    for cell in (cells if categories is None else categories):
+        if cell not in vocab:
+            vocab[cell] = len(vocab)
+    return vocab, [vocab.get(cell, -1) for cell in cells]
+
+
 def csv_reference_load_table(text: str, schema: Schema | None = None,
                              outcome_column: str | None = None) -> TrainingTable:
     """``load_table`` as a csv.reader pass that types every row, not each
@@ -376,28 +393,34 @@ def csv_reference_load_table(text: str, schema: Schema | None = None,
     specs, vocabs, coded, bad = [], [], [], []
     given = schema.attributes if schema is not None else [None] * len(attr_cols)
     for j, (i, spec) in enumerate(zip(attr_cols, given)):
-        cells, vocab, data_j = columns[i], None, None
+        cells = columns[i]
+        floats = [_finite_float(cell) for cell in cells]
         if spec is None:
-            spec, data_j = _infer_column(header[i], cells)
-        try:
-            if spec.kind == CATEGORICAL:
-                vocab, data_j = _code_categorical(cells, spec.categories)
-            elif data_j is None:
-                data_j = _parse_continuous(cells)
-        except _BadCell as exc:
-            what = "unknown category" if spec.kind == CATEGORICAL else "cannot parse continuous cell"
-            bad.append((exc.row, j, f"{what} {cells[exc.row]!r} at line {exc.row + 2}, column {spec.name!r}"))
+            spec = (AttributeSpec(header[i], CONTINUOUS) if None not in floats
+                    else AttributeSpec(header[i], CATEGORICAL, categories=tuple(dict.fromkeys(cells))))
+        if spec.kind == CATEGORICAL:
+            vocab, codes = _reference_codes(cells, spec.categories)
+            if -1 in codes:
+                row = codes.index(-1)
+                bad.append((row, j, f"unknown category {cells[row]!r} at line {row + 2}, column {spec.name!r}"))
+            vocabs.append(vocab)
+            coded.append(np.array(codes, dtype=np.intp))
+        else:
+            if None in floats:
+                row = floats.index(None)
+                bad.append((row, j, f"cannot parse continuous cell {cells[row]!r} at line {row + 2}, column {spec.name!r}"))
+            vocabs.append(None)
+            coded.append(np.array([0.0 if v is None else v for v in floats], dtype=np.float64))
         specs.append(spec)
-        vocabs.append(vocab)
-        coded.append(data_j)
-    try:
-        label_index, outcomes = _code_categorical(columns[out_idx], None if schema is None else schema.outcome_labels)
-    except _BadCell as exc:
-        bad.append((exc.row, len(attr_cols), f"unknown outcome label {columns[out_idx][exc.row]!r} at line {exc.row + 2}"))
+    label_index, outcomes = _reference_codes(columns[out_idx], None if schema is None else schema.outcome_labels)
+    if -1 in outcomes:
+        row = outcomes.index(-1)
+        bad.append((row, len(attr_cols), f"unknown outcome label {columns[out_idx][row]!r} at line {row + 2}"))
     if bad:
         raise DataError(min(bad)[2])
     if schema is None:
         schema = Schema(tuple(specs), tuple(label_index))
+    outcomes = np.array(outcomes, dtype=np.intp)
     return TrainingTable._from_columns(schema, coded, vocabs, np.arange(len(outcomes)), outcomes)
 
 
