@@ -143,9 +143,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _fit_from_args(args)
-    # Enforce the model's outcome labels on the test file, but not its
-    # category lists: test rows may carry unseen attribute values, which
-    # simply match nothing.
+    # Enforce the model's attribute kinds on the test file, but not its
+    # category lists or labels: test rows may carry unseen attribute values,
+    # which simply match nothing, and unseen labels, which count as misses.
     relaxed = dataset.Schema(
         tuple(
             dataset.AttributeSpec(a.name, a.kind, a.weight)
@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
         ),
         model.table.schema.outcome_labels,
     )
-    test = dataset.load_table(args.test, schema=relaxed, outcome_column=args.outcome_column)
+    test = dataset.load_table(args.test, schema=relaxed, outcome_column=args.outcome_column, extend_labels=True)
     accuracy = harness.evaluate_accuracy(model, test)
     print(f"accuracy={accuracy:.6f}")
     return 0

@@ -234,6 +234,26 @@ class TrainingTable:
         self.total_weight = self.schema.total_weight
 
     @cached_property
+    def _equality_groups(self) -> tuple[list, np.ndarray, np.ndarray] | None:
+        """The distinct rows grouped by their cells in the equality columns
+        (categorical, or continuous of zero width): each group's cell per such
+        column (None for others), the rows in group order (then row order), and
+        each group's offset into them; None with one group or one kind of column."""
+        equal = [spec.kind == CATEGORICAL or spec.range_width == 0.0 for spec in self.schema.attributes]
+        if all(equal):
+            return None
+        group_of = np.zeros(self._distinct_entry.size, dtype=np.intp)
+        for vocab, data in zip(self._col_vocab, self._col_data):
+            if vocab is not None:  # a zero-width column holds one value
+                group_of = np.unique(group_of * len(vocab) + data.astype(np.intp), return_inverse=True)[1]
+        order = np.argsort(group_of, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(group_of))))
+        if offsets.size < 3:
+            return None
+        first = order[offsets[:-1]]
+        return [data[first] if eq else None for eq, data in zip(equal, self._col_data)], order, offsets
+
+    @cached_property
     def _distinct_rows(self) -> list[tuple]:
         """Typed cells of each distinct row."""
         columns = []
@@ -353,8 +373,12 @@ def _split_csv(text: str) -> tuple[list[str], list, np.ndarray, np.ndarray]:
     non-empty cells as the header, is split on newlines: its distinct lines
     are strings, which ``load_table`` splits on commas. Any other text is
     read by csv.reader one row at a time: its distinct lines are tuples of
-    cells, perhaps ragged or empty, for ``load_table`` to diagnose.
+    cells, perhaps ragged or empty, for ``load_table`` to diagnose. NUL is
+    refused on either path, as csv.reader does before Python 3.11.
     """
+    if "\x00" in text:
+        line = text.count("\n", 0, text.index("\x00")) + 1
+        raise DataError(f"malformed CSV at line {line}: line contains NUL")
     if '"' not in text and "\r" not in text:
         lines = text.split("\n")
         if lines[-1] == "":
@@ -385,7 +409,8 @@ def _chunk_columns(lines: list, width: int, picked: list[int]) -> list[list[str]
     return [cells[i::width] for i in picked]
 
 
-def load_table(source, schema: Schema | None = None, outcome_column: str | None = None) -> TrainingTable:
+def load_table(source, schema: Schema | None = None, outcome_column: str | None = None, *,
+               extend_labels: bool = False) -> TrainingTable:
     """Load a CSV (header row, outcome column last unless named) into a table.
 
     When ``schema`` is omitted it is inferred: a column is continuous if
@@ -395,7 +420,8 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
     once grow with the chunk, not the table. Rejected with line-numbered
     diagnostics that name the first bad cell in file order (ragged rows and
     empty cells before all others): unparseable or non-finite continuous
-    cells, categories or outcome labels outside an explicit schema.
+    cells, categories or outcome labels outside an explicit schema (with
+    ``extend_labels``, such labels follow the schema's in first-seen order).
     """
     header, distinct, line_of, first_row = _split_csv(_read_text(source))
     if len(header) < 2:
@@ -456,7 +482,7 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
         for j, column in enumerate(columns):
             if vocabs[j] is not None:
                 try:
-                    grow = given[j] is None or given[j].categories is None
+                    grow = given[j] is None or given[j].categories is None or (extend_labels and j == len(attr_cols))
                     data[j][start:start + step] = _code_categorical(column, vocabs[j], grow)
                 except _BadCell as exc:
                     bad.append((start + exc.row, j, column[exc.row]))
@@ -473,6 +499,8 @@ def load_table(source, schema: Schema | None = None, outcome_column: str | None 
                  else AttributeSpec(header[i], CATEGORICAL, categories=tuple(vocab))
                  for i, vocab in zip(attr_cols, vocabs))
         schema = Schema(tuple(specs), tuple(vocabs[-1]))
+    elif extend_labels:
+        schema = Schema(schema.attributes, tuple(vocabs[-1]))
     return TrainingTable._from_columns(schema, data[:-1], vocabs[:-1], line_of, data[-1][line_of])
 
 

@@ -35,7 +35,7 @@ from .dataset import (CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real
                       schema_from_dict, schema_to_dict)
 from .errors import PredictorError
 from .kernels import Kernel, kernel_from_dict, kernel_to_dict, make_kernel
-from .similarity import match_encoded, match_vectors
+from .similarity import match_encoded, match_vectors, nearest_rows
 
 PREDICTOR_KINDS = ("delanga", "rasturnat", "nearest")
 
@@ -141,11 +141,16 @@ def fit(
 
 
 def predict(model: FittedModel, query: Query) -> Prediction:
-    """Score the query against the U distinct rows and reduce by the model's rule."""
+    """Score the query against the U distinct rows and reduce by the model's rule;
+    delanga and nearest score only the rows ``nearest_rows`` cannot rule out."""
+    if model.predictor_kind != "rasturnat":
+        champions = nearest_rows(query, model.table)
+        if champions is not None:
+            return _predict_champions(model, query, champions)
     dm = match_vectors(query, model.table)[1]
     if model.predictor_kind == "rasturnat":
         return _predict_field(model, dm)
-    return _predict_champions(model, dm)
+    return _predict_champions(model, query, np.flatnonzero(dm == dm.min()), dm)
 
 
 def explain(model: FittedModel, query: Query) -> PredictionTrace:
@@ -191,14 +196,19 @@ def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int
     return Prediction(scores, likelihoods, winner, tie_depth)
 
 
-def _predict_champions(model: FittedModel, dm: np.ndarray) -> Prediction:
-    """delanga and nearest: label counts at the minimal distance; count ties
-    go to delanga's level walk, or to label order with tie depth 1 for nearest."""
-    counts = model.votes[np.flatnonzero(dm == dm.min())].sum(axis=0)
+def _predict_champions(model: FittedModel, query: Query, champions: np.ndarray,
+                       dm: np.ndarray | None = None) -> Prediction:
+    """delanga and nearest: label counts over the champion rows, those at the
+    minimal distance; count ties go to delanga's level walk over all U
+    distances ``dm`` (scored here if not given), or to label order with tie
+    depth 1 for nearest."""
+    counts = model.votes[champions].sum(axis=0)
     tied = np.flatnonzero(counts == counts.max())
     labels = model.table.schema.outcome_labels
     winner, depth = labels[int(tied[0])], int(tied.size > 1)
     if depth and model.predictor_kind == "delanga":
+        if dm is None:
+            dm = match_vectors(query, model.table)[1]
         winner, depth = backtrack_tie_break(_level_table(dm, model.votes)[1], labels)
     return _prediction(model, counts, winner, depth)
 

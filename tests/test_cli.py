@@ -548,16 +548,36 @@ class TestEval:
         assert code == 0
         assert captured.out.strip().endswith("accuracy=1.000000")
 
-    def test_unknown_test_label_fails(self, train_file, tmp_path, capsys):
-        bad = tmp_path / "test.csv"
-        bad.write_text("color,size,label\nred,1.0,maybe\n")
+    @pytest.mark.parametrize("rows, accuracy", [
+        pytest.param("red,1.0,maybe\n", "0.000000", id="all-unknown"),
+        pytest.param("red,1.0,maybe\nred,1.0,yes\nblue,3.0,no\nblue,3.0,perhaps\n", "0.500000", id="half-unknown"),
+    ])
+    def test_unknown_test_labels_count_as_misses(self, rows, accuracy, train_file, tmp_path, capsys):
+        test = tmp_path / "test.csv"
+        test.write_text("color,size,label\n" + rows)
         code = main(
-            ["eval", "--train", train_file, "--test", str(bad),
+            ["eval", "--train", train_file, "--test", str(test),
              "--predictor", "delanga"]
         )
         captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == f"accuracy={accuracy}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("color,size,shape,label\nred,1.0,round,yes\n", "schema has 2 attributes, file has 3",
+                     id="extra-column"),
+        pytest.param("color,size,label\nred,big,yes\n", "cannot parse continuous cell 'big' at line 2, column 'size'",
+                     id="text-in-a-continuous-column"),
+    ])
+    def test_test_file_off_the_schema_fails(self, text, message, train_file, tmp_path, capsys):
+        test = tmp_path / "test.csv"
+        test.write_text(text)
+        code = main(
+            ["eval", "--train", train_file, "--test", str(test),
+             "--predictor", "delanga"]
+        )
         assert code == 1
-        assert "maybe" in captured.err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unseen_category_is_tolerated(self, train_file, tmp_path, capsys):
         novel = tmp_path / "test.csv"

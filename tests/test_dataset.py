@@ -296,8 +296,7 @@ def test_total_weight_matches_full_match_accumulation():
 
 # Cells the split path takes as they are, and cells that are empty, quoted
 # or hold a CR (the last two send the text to csv.reader).
-CLEAN_CELLS = ["a", "b", "c", "1", "1.0", "0", "-0", "2.5", "-3", "1e400", "nan", "x y", " ", "\x00", "\u2028",
-               "\x85"]
+CLEAN_CELLS = ["a", "b", "c", "1", "1.0", "0", "-0", "2.5", "-3", "1e400", "nan", "x y", " ", "\u2028", "\x85"]
 DIRTY_CELLS = ["", '"q,r"', '"s""t"', 'u"v', "\r", "d\re"]
 
 
@@ -446,6 +445,17 @@ def test_quoted_text_still_reaches_the_csv_reader(monkeypatch):
     monkeypatch.setattr(dataset.csv, "reader", reached)
     with pytest.raises(Reached):
         load_table(b'a,out\n"p",x\np,y\n')
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"a,b\np,x\nq\x00,y\n", 3),  # clean text, split without the csv module
+    (b'a,b\n"p",x\nq,y\x00\n', 3),  # quoted text, read by csv.reader
+    (b"a\x00,b\np,x\n", 1),
+    (b"a,b\r\np,x\r\n\x00,y\r\n", 3),
+])
+def test_nul_is_refused_on_every_path(text, line):
+    with pytest.raises(DataError, match=f"malformed CSV at line {line}: line contains NUL"):
+        load_table(text)
 
 
 def test_text_the_csv_reader_refuses_is_a_data_error():

@@ -11,6 +11,7 @@ from fieldpred import (
     ConvergenceReportRow,
     HarnessError,
     Query,
+    Schema,
     TrainingTable,
     bayes_optimal,
     counterexample_spec,
@@ -249,7 +250,7 @@ class TestEvaluateAccuracy:
         with pytest.raises(HarnessError, match="attributes"):
             evaluate_accuracy(model, generate_synthetic(other, 5, 0))
 
-    def test_unknown_test_label_rejected(self):
+    def test_unknown_test_labels_count_as_misses(self):
         spec = tiny_spec()
         model = fit(generate_synthetic(spec, 10, 0), "delanga")
         foreign = make_spec(
@@ -258,8 +259,11 @@ class TestEvaluateAccuracy:
             1,
             conditionals={t: [1, 0] for t in all_tuples((2, 2))},
         )
-        with pytest.raises(HarnessError, match="unknown to the model"):
-            evaluate_accuracy(model, generate_synthetic(foreign, 5, 0))
+        assert evaluate_accuracy(model, generate_synthetic(foreign, 5, 0)) == 0.0
+        q = ("0", "0")
+        right = predict(model, Query(q)).winner
+        test = TrainingTable(Schema(model.table.schema.attributes, ("maybe", right)), [q, q, q, q], [0, 1, 0, 0])
+        assert evaluate_accuracy(model, test) == 0.25
 
 
 def test_generated_tables_match_the_row_constructor():

@@ -11,8 +11,11 @@ from fieldpred import (
     Query,
     Schema,
     TrainingTable,
+    fit,
+    predict,
 )
-from fieldpred.similarity import match_encoded, match_vectors
+from fieldpred import predictors, similarity
+from fieldpred.similarity import group_floors, match_encoded, match_vectors, nearest_rows
 
 from .util import (
     all_match_scores,
@@ -324,3 +327,144 @@ def test_distances_stay_nonnegative_where_the_clamps_are_skipped(case):
                 want = entry_match_score(query, table, i)
                 assert ems[b, u].tobytes() == np.float64(want.ems).tobytes()
                 assert dm[b, u].tobytes() == np.float64(want.dm).tobytes()
+
+
+def test_tiny_width_scores_without_a_warning():
+    # |c - q| / width would overflow to inf for |c - q| = 1 at a width of
+    # 5e-324; Tier-1 turns that RuntimeWarning into an error.
+    schema = Schema((AttributeSpec("x", "continuous", weight=0.25), AttributeSpec("c", "categorical")), ("A",))
+    table = TrainingTable(schema, [(0.0, "p"), (5e-324, "p")], [0, 0])
+    for cell in (1.0, -1.0, 5e-324, 1e300):
+        query = Query((cell, "p"))
+        ems, dm = match_vectors(query, table)
+        for i, u in enumerate(table._distinct_of):
+            want = entry_match_score(query, table, i)
+            assert column_match_score(cell, table.values[i][0], table.schema.attributes[0]) in (0.0, 1.0)
+            assert ems[u].tobytes() == np.float64(want.ems).tobytes()
+            assert dm[u].tobytes() == np.float64(want.dm).tobytes()
+
+
+def _row_floors(query, table):
+    """Each distinct row's floor from ``group_floors``."""
+    _, order, offsets = table._equality_groups
+    floors = np.empty(order.size)
+    floors[order] = np.repeat(group_floors(table.encode_query(query), table), np.diff(offsets))
+    return floors
+
+
+def _full_scan(model, query):
+    """delanga or nearest as the single scan of all U rows predicts."""
+    dm = match_vectors(query, model.table)[1]
+    return predictors._predict_champions(model, query, np.flatnonzero(dm == dm.min()), dm)
+
+
+def _bits(prediction):
+    return (prediction.winner, prediction.tie_depth,
+            [(k, v.hex()) for k, v in prediction.scores.items()],
+            [(k, v.hex()) for k, v in prediction.likelihoods.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_mixed_cases())
+def test_floors_bound_every_distance_and_pruning_keeps_the_prediction(case):
+    # Weights 0, 0.25, 1 and 3, zero-width columns, unseen categories and
+    # queries outside the ranges, with the columns in any order.
+    table, queries = case
+    equal = [spec.kind == "categorical" or spec.range_width == 0.0 for spec in table.schema.attributes]
+    n_groups = len({tuple(cell for cell, eq in zip(row, equal) if eq) for row in table.values})
+    assert (table._equality_groups is None) == (all(equal) or n_groups < 2)
+    models = [fit(table, "delanga"), fit(table, "nearest")]
+    for query in queries:
+        dm = match_vectors(query, table)[1]
+        champions = nearest_rows(query, table)
+        if table._equality_groups is None:
+            assert champions is None
+        else:
+            assert (_row_floors(query, table) <= dm).all()
+            assert np.array_equal(champions, np.flatnonzero(dm == dm.min()))
+        for model in models:
+            assert _bits(predict(model, query)) == _bits(_full_scan(model, query))
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_a_champion_past_the_two_least_floors_is_found_by_a_second_pass(monkeypatch):
+    # Query (p, p, 0.0) over weights 1, 1 and 3: floors 0, 1 and 2, distances 3, 4 and 2.
+    schema = Schema((AttributeSpec("c", "categorical"), AttributeSpec("d", "categorical"),
+                     AttributeSpec("x", "continuous", weight=3.0)), ("A", "B"))
+    table = TrainingTable(schema, [("p", "p", 1.0), ("p", "q", 1.0), ("q", "q", 0.0)], [0, 0, 1])
+    query = Query(("p", "p", 0.0))
+    assert np.array_equal(_row_floors(query, table)[table._distinct_of], [0.0, 1.0, 2.0])
+    assert np.array_equal(match_vectors(query, table)[1][table._distinct_of], [3.0, 4.0, 2.0])
+    scored = _counted(monkeypatch, similarity, "match_encoded")
+    full = _counted(monkeypatch, predictors, "match_vectors")
+    champions = nearest_rows(query, table)
+    assert champions.tolist() == [table._distinct_of[2]]
+    assert [sorted(args[2].tolist()) for args in scored] == [sorted(table._distinct_of[:2].tolist()),
+                                                               [table._distinct_of[2]]]
+    prediction = predict(fit(table, "delanga"), query)
+    assert (prediction.winner, prediction.tie_depth) == ("B", 0) and not full
+
+
+def test_a_delanga_count_tie_scores_every_row(monkeypatch):
+    # Two rows of different labels at d = 0.5; the walk finds A alone at d = 1.
+    schema = Schema((AttributeSpec("c", "categorical"), AttributeSpec("x", "continuous")), ("A", "B"))
+    table = TrainingTable(schema, [("p", 1.0), ("p", 3.0), ("q", 2.0)], [1, 0, 0])
+    query = Query(("p", 2.0))
+    full = _counted(monkeypatch, predictors, "match_vectors")
+    walks = _counted(monkeypatch, predictors, "backtrack_tie_break")
+    delanga = fit(table, "delanga")
+    prediction = predict(delanga, query)
+    assert (prediction.winner, prediction.tie_depth) == ("A", 1)
+    assert len(full) == 1 and len(walks) == 1
+    prediction = predict(fit(table, "nearest"), query)
+    assert (prediction.winner, prediction.tie_depth) == ("A", 1)
+    assert len(full) == 1
+    assert _bits(predict(delanga, query)) == _bits(_full_scan(delanga, query))
+
+
+@pytest.mark.parametrize("kinds", [("categorical", "categorical"), ("continuous", "continuous")])
+def test_tables_of_one_kind_keep_the_single_scan(kinds, monkeypatch):
+    rng = np.random.default_rng(7)
+    rows = [tuple(str(rng.integers(0, 3)) if kind == "categorical" else float(rng.integers(0, 5)) for kind in kinds)
+            for _ in range(20)]
+    schema = Schema(tuple(AttributeSpec(f"x{j}", kind) for j, kind in enumerate(kinds)), ("A", "B"))
+    table = TrainingTable(schema, rows, [int(x) for x in rng.integers(0, 2, 20)])
+    full = _counted(monkeypatch, predictors, "match_vectors")
+    for kind in ("delanga", "nearest"):
+        predict(fit(table, kind), Query(rows[0]))
+    assert table._equality_groups is None and len(full) == 2
+
+
+def test_high_cardinality_groups_take_memory_linear_in_rows_and_groups():
+    # 4,000 distinct categories in one column and four columns whose mixed-radix
+    # code (10^5 categories each) passes 2^62, so it is renumbered on the way.
+    rng = np.random.default_rng(11)
+    n, wide = 4_000, tuple(f"k{i}" for i in range(100_000))
+    names = ["id", "k1", "k2", "k3", "k4"]
+    attrs = tuple(AttributeSpec(name, "categorical", categories=None if name == "id" else wide) for name in names)
+    schema = Schema(attrs + (AttributeSpec("x", "continuous"),), ("A", "B"))
+    rows = [(f"r{i}",) + tuple(wide[int(k)] for k in rng.integers(0, 3, 4)) + (float(rng.uniform(-1, 1)),)
+            for i in range(n)]
+    table = TrainingTable(schema, rows, [int(x) for x in rng.integers(0, 2, n)])
+    cells, order, offsets = table._equality_groups
+    u, s = table._distinct_entry.size, offsets.size - 1
+    assert u == s == n
+    assert order.nbytes + offsets.nbytes + sum(c.nbytes for c in cells if c is not None) <= 8 * (u + s * 6 + 1)
+    codes = np.stack([table._col_data[j] for j in range(5)], axis=1)
+    group_of = np.unique(codes, axis=0, return_inverse=True)[1].ravel()
+    assert np.array_equal(group_of[order], np.repeat(np.arange(s), np.diff(offsets)))
+    model = fit(table, "delanga")
+    for query in [Query(rows[5]), Query(("r9", "k0", "k1", "k2", "k0", 2.0)), Query(("new",) + rows[3][1:])]:
+        assert _bits(predict(model, query)) == _bits(_full_scan(model, query))
