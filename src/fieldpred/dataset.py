@@ -91,7 +91,7 @@ class AttributeSpec:
             if self.kind != CONTINUOUS:
                 raise DataError(f"range_width given for categorical attribute {self.name!r}")
             if not _is_finite_real(self.range_width) or self.range_width < 0:
-                raise DataError(f"attribute {self.name!r} needs a finite range_width >= 0")
+                raise DataError(f"attribute {self.name!r} needs a finite range_width >= 0 (max - min of its values)")
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,11 @@ class TrainingTable:
         # Each entry's flat (distinct row, outcome) cell of the U x K count matrix.
         self._vote_cell = self._distinct_of * k + outcomes
         self._label_counts = np.bincount(self._vote_cell, minlength=u * k).reshape(u, k).astype(np.float64)
-        # Each continuous column's (min, max), which tell where match scores need their clamp.
-        self._col_bounds = [(column.min(), column.max()) if spec.kind == CONTINUOUS else None
+        # Each continuous column's (min, max), as Python floats, which tell where match scores need their clamp.
+        self._col_bounds = [(float(column.min()), float(column.max())) if spec.kind == CONTINUOUS else None
                             for spec, column in zip(schema.attributes, self._col_data)]
         attrs = tuple(
-            replace(spec, range_width=float(bounds[1] - bounds[0])) if bounds else spec
+            replace(spec, range_width=bounds[1] - bounds[0]) if bounds else spec
             for spec, bounds in zip(schema.attributes, self._col_bounds)
         )
         self.schema = Schema(attrs, schema.outcome_labels)

@@ -186,6 +186,21 @@ def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return levels, per_level
 
 
+def _lone_leader(model: FittedModel, tos: np.ndarray, tol: float) -> Prediction | None:
+    """``tos`` as a Prediction if one label alone lies within the relative band ``tol`` of the
+    best score and the total is positive and finite, else None. One pass over Python floats
+    does what numpy's float64 scalars would; the total keeps numpy's sum, no left fold at K >= 8."""
+    labels, values, total = model.table.schema.outcome_labels, tos.tolist(), float(tos.sum())
+    if not 0.0 < total < math.inf:
+        return None
+    best = max(values)
+    cut, lead, scores, likelihoods = best - best * tol, 0, {}, {}
+    for label, v in zip(labels, values):
+        scores[label], likelihoods[label] = v, v / total
+        lead += v >= cut
+    return Prediction(scores, likelihoods, labels[values.index(best)], 0) if lead == 1 else None
+
+
 def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int) -> Prediction:
     labels = model.table.schema.outcome_labels
     total = tos.sum()
@@ -203,10 +218,11 @@ def _predict_champions(model: FittedModel, query: Query, champions: np.ndarray,
     distances ``dm`` (scored here if not given), or to label order with tie
     depth 1 for nearest."""
     counts = model.votes[champions].sum(axis=0)
-    tied = np.flatnonzero(counts == counts.max())
+    if (lone := _lone_leader(model, counts, 0.0)) is not None:  # else a count tie: the total is at least 1
+        return lone
     labels = model.table.schema.outcome_labels
-    winner, depth = labels[int(tied[0])], int(tied.size > 1)
-    if depth and model.predictor_kind == "delanga":
+    winner, depth = labels[int(np.argmax(counts))], 1
+    if model.predictor_kind == "delanga":
         if dm is None:
             dm = match_vectors(query, model.table)[1]
         winner, depth = backtrack_tie_break(_level_table(dm, model.votes)[1], labels)
@@ -238,6 +254,8 @@ def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[
 def _predict_field(model: FittedModel, dm: np.ndarray) -> Prediction:
     """rasturnat: sum kernel-transformed row scores per outcome; the largest field wins."""
     tos = model.kernel.evaluate(dm) @ model.votes
+    if (lone := _lone_leader(model, tos, REL_TIE_TOL)) is not None:
+        return lone
     winner, tie = _select_winner(tos)
     if tie:
         # Sums over rows in different orders can split equal fields by an

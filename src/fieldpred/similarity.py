@@ -38,27 +38,36 @@ def match_encoded(encoded: Sequence, table: TrainingTable,
     each block row equals its single-query scores bit for bit, as does
     the score of a row picked by ``rows``.
     """
-    # A block's cells have shape B x 1 (a single query's are scalars, shape ()).
-    lead = getattr(encoded[0], "shape", ())[:-1] if len(encoded) else ()
-    ems = np.zeros(lead + (table._distinct_entry if rows is None else rows).shape, dtype=np.float64)
+    # ems starts from the first term, a fresh array. Columns of weight 0 add none, so
+    # every term is at least +0.0, 0.0 + t == t, and each sum keeps its bits.
+    ems = None
     columns = table._col_data if rows is None else [column[rows] for column in table._col_data]
     for j, spec in enumerate(table.schema.attributes):
         column, w = columns[j], spec.weight
+        if w == 0.0:
+            continue
         if spec.kind == CATEGORICAL or spec.range_width == 0.0:
             hit = column == encoded[j]
-            ems += hit if w == 1.0 else np.multiply(hit, w)
+            term = hit if w == 1.0 else np.multiply(hit, w)
         else:
             # 1 - min(|c - q|, width) / width in one buffer. Rounding is monotone, so the clamp
-            # binds only for a query farther than the width from the column's min or max.
+            # binds only for a query farther than the width from the column's min or max, and
+            # every row scores 0 for a query farther than that again from [lo, hi].
             q, (lo, hi) = encoded[j], table._col_bounds[j]
-            q_lo, q_hi = (q.min(), q.max()) if isinstance(q, np.ndarray) else (q, q)
+            q_lo, q_hi = (float(q.min()), float(q.max())) if isinstance(q, np.ndarray) else (q, q)
+            if q_lo - hi > spec.range_width or lo - q_hi > spec.range_width:
+                continue
             cms = column - q
             np.abs(cms, out=cms)
             if not max(hi - q_lo, q_hi - lo) <= spec.range_width:
                 np.minimum(cms, spec.range_width, out=cms)
             cms /= spec.range_width
             np.subtract(1.0, cms, out=cms)
-            ems += cms if w == 1.0 else np.multiply(cms, w, out=cms)
+            term = cms if w == 1.0 else np.multiply(cms, w, out=cms)
+        ems = term.astype(np.float64, copy=False) if ems is None else np.add(ems, term, out=ems)
+    if ems is None:  # no column adds a term. A block's cells have shape B x 1, a query's shape ().
+        lead = getattr(encoded[0], "shape", ())[:-1] if len(encoded) else ()
+        ems = np.zeros(lead + (table._distinct_entry if rows is None else rows).shape, dtype=np.float64)
     # Each column adds at most its weight, in total_weight's order, so dm >= 0 unclamped.
     return ems, table.total_weight - ems
 

@@ -610,7 +610,7 @@ class TestConverge:
         )
         captured = capsys.readouterr()
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "m,predictor,kernel,trial,accuracy,bayes_accuracy,regret"
         assert len(lines) == 1 + 2 * 2 * 2
         assert "running arm delanga" in captured.err

@@ -20,6 +20,7 @@ from fieldpred import (
     validate_query,
 )
 from fieldpred import dataset
+from fieldpred.cli import main
 from fieldpred.dataset import schema_from_dict, schema_to_dict
 
 from .util import csv_reference_load_table, serialize_table
@@ -253,6 +254,18 @@ def test_training_table_validates_cells():
         TrainingTable(schema, [(1.0,)], [5])
     with pytest.raises(DataError, match="empty table"):
         TrainingTable(schema, [], [])
+
+
+def test_a_continuous_range_that_overflows_is_refused_without_a_warning(tmp_path, capsys):
+    # max - min of {-1e308, 1e308} overflows to inf, which no width may be;
+    # Tier-1 turns numpy's overflow RuntimeWarning into an error.
+    schema = Schema((AttributeSpec("c", "categorical"), AttributeSpec("x", "continuous")), ("A", "B"))
+    with pytest.raises(DataError, match="attribute 'x' needs a finite range_width"):
+        TrainingTable(schema, [("p", -1e308), ("q", 1e308)], [0, 1])
+    path = tmp_path / "train.csv"
+    path.write_text("c,x,label\np,-1e308,A\nq,1e308,B\n")
+    assert main(["fit", "--train", str(path), "--predictor", "delanga"]) == 1
+    assert capsys.readouterr().err.startswith("error: attribute 'x' needs a finite range_width")
 
 
 @pytest.mark.parametrize("outcome", [0.5, 1.0, "0", True, None])

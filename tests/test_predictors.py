@@ -1,7 +1,7 @@
 import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -40,6 +40,9 @@ from .util import (
     random_continuous_instance,
     random_mixed_instance,
     reference_density_model,
+    reference_predict,
+    reference_prediction,
+    reference_winner,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -706,3 +709,94 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
         assert (loaded.density.sts, loaded.density.stavg) == (model.density.sts, model.density.stavg)
     for query in queries:
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(loaded, query))
+
+
+LABEL_MODELS = {k: FittedModel(TrainingTable(Schema((AttributeSpec("a", "categorical"),), tuple("ABCDEFGHIJKL"[:k])),
+                                             [("p",)], [0]), "delanga") for k in range(1, 13)}
+
+
+@st.composite
+def fields(draw):
+    """K from 1 to 12 label scores around one base: exact ties, near-ties
+    inside and just outside the band, zeros, subnormals and huge values,
+    with now and then a NaN or an infinity."""
+    k = draw(st.integers(1, 12))
+    base = draw(st.sampled_from([1.0, 0.3, 7.0, 5e-324, 2.5e-310, 1e300, 1.7e308]) | st.floats(0.0, 1e308))
+    near = [base, base * (1.0 - 1e-13), base * (1.0 - 9e-13), base * (1.0 - 2e-12), math.nextafter(base, 0.0)]
+    value = st.sampled_from(near + [0.0, 5e-324]) | st.floats(0.0, 1e308) | st.integers(0, 40).map(float)
+    values = draw(st.lists(value, min_size=k, max_size=k))
+    if draw(st.integers(0, 9)) == 0:
+        values[draw(st.integers(0, k - 1))] = draw(st.sampled_from([math.inf, math.nan]))
+    return np.array(values, dtype=np.float64)
+
+
+@settings(max_examples=600, deadline=None)
+@given(fields(), st.sampled_from([predictors.REL_TIE_TOL, 0.0]))
+def test_the_python_float_pass_equals_the_numpy_reduction(tos, tol):
+    # The pass answers only where one label alone leads and the total is
+    # positive and finite; everywhere else the numpy path decides.
+    model = LABEL_MODELS[tos.size]
+    labels = model.table.schema.outcome_labels
+    with np.errstate(over="ignore", invalid="ignore"):  # a total of 0 or past the float maximum
+        got = predictors._lone_leader(model, tos, tol)
+        total = float(tos.sum())
+        try:
+            winner, tie = reference_winner(tos, tol)
+            want = reference_prediction(labels, tos, labels[winner], tie)
+        except PredictorError:
+            want = None
+    if want is None or want.tie_depth or not total > 0.0:
+        assert got is None
+    else:
+        assert prediction_bits(got) == prediction_bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["delanga", "nearest", "bridge", "gauss", "newton", "decay_b"]),
+       st.booleans())
+def test_predict_equals_the_numpy_reduction_bit_for_bit(seed, arm, categorical):
+    # Small categorical tables tie often, by counts and within the band.
+    rng = np.random.default_rng(seed)
+    if categorical:
+        table, query = random_categorical_instance(rng)
+        queries = [query]
+    else:
+        table, queries = random_mixed_instance(rng)
+    model = fit(table, arm) if arm in predictors.PREDICTOR_KINDS else fit(table, "rasturnat", arm)
+    for query in queries:
+        assert prediction_bits(predict(model, query)) == prediction_bits(reference_predict(model, query))
+
+
+def test_an_underflowed_field_gives_nan_likelihoods_and_the_first_label():
+    # gauss at d = 30 is exp(-900) = 0.0, so every vote underflows (ROADMAP
+    # item 1): the total is 0 and 0 / 0 gives NaN, as under the CLI's errstate.
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "categorical") for j in range(30)), ("A", "B"))
+    model = fit(TrainingTable(schema, [("p",) * 30, ("p",) * 30], [1, 0]), "rasturnat", "gauss")
+    query = Query(("q",) * 30)
+    with np.errstate(invalid="ignore"):
+        p = predict(model, query)
+        assert prediction_bits(p) == prediction_bits(reference_predict(model, query))
+    assert p.scores == {"A": 0.0, "B": 0.0} and all(math.isnan(v) for v in p.likelihoods.values())
+    assert (p.winner, p.tie_depth) == ("A", 1)
+
+
+@dataclass(frozen=True)
+class ConstantKernel:
+    value: float
+
+    def evaluate(self, d):
+        return np.full(np.shape(d), self.value)
+
+
+@pytest.mark.parametrize("value, outcomes, message", [(math.nan, "AB", "outcome score overflows to nan"),
+                                                      (math.inf, "AB", "outcome score overflows to inf"),
+                                                      (1e308, "AB", "outcome scores sum to inf"),
+                                                      (8e307, "AAB", "outcome scores sum to inf")])
+def test_fields_that_are_not_finite_raise_as_before(value, outcomes, message):
+    # The entries share one row, so each field is the kernel's value times
+    # the label's count: 1e308 twice is a band tie whose total overflows, and
+    # 1.6e308 leads 8e307 alone, yet their total overflows too.
+    model = FittedModel(two_bit_table([(("0", "0"), label) for label in outcomes]), "rasturnat",
+                        kernel=ConstantKernel(value))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PredictorError, match=message):
+        predict(model, Query(("0", "1")))

@@ -234,11 +234,11 @@ def test_single_query_scores_equal_their_row_of_a_block(seed):
 
 @st.composite
 def weighted_mixed_cases(draw):
-    """A mixed table under weights of 0, 0.25, 1 and 3, with zero-width
+    """A mixed table under weights of 0, -0.0, 0.25, 1 and 3, with zero-width
     continuous columns among the others, plus queries that fall outside the
-    column ranges or hold unseen categories."""
+    column ranges, some by more than a width, or hold unseen categories."""
     kinds = draw(st.lists(st.sampled_from(["categorical", "continuous", "constant"]), min_size=1, max_size=5))
-    weights = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=len(kinds), max_size=len(kinds)))
+    weights = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.0]), min_size=len(kinds), max_size=len(kinds)))
     if sum(weights) == 0.0:
         weights[0] = 0.25
     schema = Schema(tuple(AttributeSpec(f"x{j}", "categorical" if kind == "categorical" else "continuous",
@@ -327,6 +327,42 @@ def test_distances_stay_nonnegative_where_the_clamps_are_skipped(case):
                 want = entry_match_score(query, table, i)
                 assert ems[b, u].tobytes() == np.float64(want.ems).tobytes()
                 assert dm[b, u].tobytes() == np.float64(want.dm).tobytes()
+
+
+@pytest.mark.parametrize("kind, weight", [("categorical", 1.0), ("categorical", 0.25), ("categorical", -0.0),
+                                          ("continuous", 1.0), ("continuous", 3.0), ("continuous", -0.0)])
+def test_scores_start_from_the_first_column_bit_for_bit(kind, weight):
+    # ems starts from the first column's term, not from zeros. A weight of
+    # -0.0 makes that term -0.0; it must not leave a -0.0 score where the
+    # column after it adds nothing, as it does for a query past its reach.
+    schema = Schema((AttributeSpec("f", kind, weight=weight), AttributeSpec("x", "continuous")), ("A",))
+    first = ["p", "q"] if kind == "categorical" else [0.0, 2.0]
+    table = TrainingTable(schema, [(first[0], 0.0), (first[1], 1.0), (first[0], 4.0)], [0, 0, 0])
+    for f in first + (["zz"] if kind == "categorical" else [-5.0]):
+        for x in (0.0, 2.5, -3.0, 9.0, 1e300):
+            query = Query((f, x))
+            ems, dm = match_vectors(query, table)
+            for i, u in enumerate(table._distinct_of):
+                want = entry_match_score(query, table, i)
+                assert ems[u].tobytes() == np.float64(want.ems).tobytes()
+                assert dm[u].tobytes() == np.float64(want.dm).tobytes()
+
+
+@pytest.mark.parametrize("cell", [1e308, -1e308, 1.7e308, -1.7e308])
+def test_a_query_past_the_float_maximum_from_the_column_scores_without_a_warning(cell):
+    # |c - q| overflows for every row, and so does the clamp test hi - q_lo;
+    # Tier-1 turns numpy's overflow RuntimeWarning into an error.
+    schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("c", "categorical", weight=0.5)), ("A",))
+    column = [-1e308, -1e308 + 1e292] if cell > 0 else [1e308, 1e308 - 1e292]
+    table = TrainingTable(schema, [(column[0], "p"), (column[1], "q")], [0, 0])
+    query = Query((cell, "p"))
+    ems, dm = match_vectors(query, table)
+    block_ems, block_dm = match_encoded([np.array([[q]]) for q in table.encode_query(query)], table)
+    for i, u in enumerate(table._distinct_of):
+        want = entry_match_score(query, table, i)
+        for got_ems, got_dm in ((ems[u], dm[u]), (block_ems[0, u], block_dm[0, u])):
+            assert got_ems.tobytes() == np.float64(want.ems).tobytes()
+            assert got_dm.tobytes() == np.float64(want.dm).tobytes()
 
 
 def test_tiny_width_scores_without_a_warning():

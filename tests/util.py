@@ -23,14 +23,16 @@ from fieldpred import (
     HarnessError,
     Kernel,
     Prediction,
+    PredictorError,
     Query,
     Schema,
     SyntheticSpec,
     TrainingTable,
+    backtrack_tie_break,
     predict,
 )
 from fieldpred.dataset import CATEGORICAL, CONTINUOUS, _is_real
-from fieldpred.predictors import REL_TIE_TOL
+from fieldpred.predictors import REL_TIE_TOL, _level_table
 from fieldpred.similarity import match_encoded, match_vectors
 
 LABEL_POOL = ("A", "B", "C")
@@ -251,6 +253,48 @@ def naive_reference_predict(
     winner = tied[0]
     likelihoods = {label: tos[label] / total for label in labels}
     return Prediction(dict(tos), likelihoods, winner, 1 if len(tied) > 1 else 0)
+
+
+def reference_winner(tos: np.ndarray, tol: float) -> tuple[int, int]:
+    """The numpy band check on float64 scalars: the first label within ``tol``
+    (relative) of the best score, and a 0/1 tie flag. A non-finite best
+    raises ``PredictorError`` as ``predict`` does."""
+    best = float(tos.max())
+    if not math.isfinite(best):
+        raise PredictorError(f"outcome score overflows to {best}: the kernel's mld is too large for this table")
+    tied = np.flatnonzero(tos >= best - best * tol)
+    return int(tied[0]), int(tied.size > 1)
+
+
+def reference_prediction(labels: Sequence[str], tos: np.ndarray, winner: str, tie_depth: int) -> Prediction:
+    """Scores and likelihoods as numpy's float64 scalars make them, total
+    included; a non-finite total raises ``PredictorError`` as ``predict`` does."""
+    total = tos.sum()
+    if not math.isfinite(total):
+        raise PredictorError(f"outcome scores sum to {total}: the kernel's mld is too large for this table")
+    return Prediction({label: float(tos[k]) for k, label in enumerate(labels)},
+                      {label: float(tos[k] / total) for k, label in enumerate(labels)}, winner, tie_depth)
+
+
+def reference_predict(model, query: Query) -> Prediction:
+    """``predict`` by a full scan of the U rows and the numpy reduction:
+    rasturnat re-scores a band tie per distance level, delanga walks a count
+    tie through the levels, and nearest gives it to label order."""
+    dm = match_vectors(query, model.table)[1]
+    labels = model.table.schema.outcome_labels
+    if model.predictor_kind == "rasturnat":
+        tos = model.kernel.evaluate(dm) @ model.votes
+        winner, tie = reference_winner(tos, REL_TIE_TOL)
+        if tie:
+            levels, per_level = _level_table(dm, model.votes)
+            tos = (model.kernel.evaluate(levels)[:, None] * per_level).sum(axis=0)
+            winner, tie = reference_winner(tos, REL_TIE_TOL)
+        return reference_prediction(labels, tos, labels[winner], tie)
+    counts = model.votes[dm == dm.min()].sum(axis=0)
+    winner, tie = reference_winner(counts, 0.0)
+    if tie and model.predictor_kind == "delanga":
+        return reference_prediction(labels, counts, *backtrack_tie_break(_level_table(dm, model.votes)[1], labels))
+    return reference_prediction(labels, counts, labels[winner], tie)
 
 
 @dataclass(frozen=True)
