@@ -169,13 +169,17 @@ def explain(model: FittedModel, query: Query) -> PredictionTrace:
     return PredictionTrace(ets=model.kernel.evaluate(dm)[entry_row] * dcf)
 
 
-def _select_winner(scores: np.ndarray) -> tuple[int, int]:
-    """Index of the winning outcome plus a 0/1 tie flag (band rule)."""
-    best = float(scores.max())
+def _band(tos: np.ndarray, tol: float) -> tuple[list[float], float, list[int]]:
+    """``tos`` as Python floats, numpy's total of it (no left fold at K >= 8), and the indexes
+    within the relative band ``tol`` of the best score. Python floats make the same IEEE
+    operations as numpy's float64 scalars, in one pass."""
+    values, total = tos.tolist(), float(tos.sum())
+    # A finite total means finite scores; else numpy's max finds a NaN that max() may skip.
+    best = max(values) if math.isfinite(total) else float(tos.max())
     if not math.isfinite(best):
         raise PredictorError(f"outcome score overflows to {best}: the kernel's mld is too large for this table")
-    tied = np.flatnonzero(scores >= best - best * REL_TIE_TOL)
-    return int(tied[0]), (1 if tied.size > 1 else 0)
+    cut = best - best * tol
+    return values, total, [k for k, v in enumerate(values) if v >= cut]
 
 
 def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,29 +190,13 @@ def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return levels, per_level
 
 
-def _lone_leader(model: FittedModel, tos: np.ndarray, tol: float) -> Prediction | None:
-    """``tos`` as a Prediction if one label alone lies within the relative band ``tol`` of the
-    best score and the total is positive and finite, else None. One pass over Python floats
-    does what numpy's float64 scalars would; the total keeps numpy's sum, no left fold at K >= 8."""
-    labels, values, total = model.table.schema.outcome_labels, tos.tolist(), float(tos.sum())
-    if not 0.0 < total < math.inf:
-        return None
-    best = max(values)
-    cut, lead, scores, likelihoods = best - best * tol, 0, {}, {}
-    for label, v in zip(labels, values):
-        scores[label], likelihoods[label] = v, v / total
-        lead += v >= cut
-    return Prediction(scores, likelihoods, labels[values.index(best)], 0) if lead == 1 else None
-
-
-def _prediction(model: FittedModel, tos: np.ndarray, winner: str, tie_depth: int) -> Prediction:
+def _prediction(model: FittedModel, values: list[float], total: float, winner: str, tie_depth: int) -> Prediction:
     labels = model.table.schema.outcome_labels
-    total = tos.sum()
     if not math.isfinite(total):
         raise PredictorError(f"outcome scores sum to {total}: the kernel's mld is too large for this table")
-    scores = {label: float(tos[k]) for k, label in enumerate(labels)}
-    likelihoods = {label: float(tos[k] / total) for k, label in enumerate(labels)}
-    return Prediction(scores, likelihoods, winner, tie_depth)
+    # An underflowed field sums to 0, whose likelihoods numpy's 0 / 0 makes NaN.
+    likelihoods = {label: v / total if total else math.nan for label, v in zip(labels, values)}
+    return Prediction(dict(zip(labels, values)), likelihoods, winner, tie_depth)
 
 
 def _predict_champions(model: FittedModel, query: Query, champions: np.ndarray,
@@ -217,16 +205,14 @@ def _predict_champions(model: FittedModel, query: Query, champions: np.ndarray,
     minimal distance; count ties go to delanga's level walk over all U
     distances ``dm`` (scored here if not given), or to label order with tie
     depth 1 for nearest."""
-    counts = model.votes[champions].sum(axis=0)
-    if (lone := _lone_leader(model, counts, 0.0)) is not None:  # else a count tie: the total is at least 1
-        return lone
+    values, total, tied = _band(model.votes[champions].sum(axis=0), 0.0)
     labels = model.table.schema.outcome_labels
-    winner, depth = labels[int(np.argmax(counts))], 1
-    if model.predictor_kind == "delanga":
+    winner, depth = labels[tied[0]], int(len(tied) > 1)
+    if depth and model.predictor_kind == "delanga":
         if dm is None:
             dm = match_vectors(query, model.table)[1]
         winner, depth = backtrack_tie_break(_level_table(dm, model.votes)[1], labels)
-    return _prediction(model, counts, winner, depth)
+    return _prediction(model, values, total, winner, depth)
 
 
 def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[str]) -> tuple[str, int]:
@@ -253,18 +239,14 @@ def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[
 
 def _predict_field(model: FittedModel, dm: np.ndarray) -> Prediction:
     """rasturnat: sum kernel-transformed row scores per outcome; the largest field wins."""
-    tos = model.kernel.evaluate(dm) @ model.votes
-    if (lone := _lone_leader(model, tos, REL_TIE_TOL)) is not None:
-        return lone
-    winner, tie = _select_winner(tos)
-    if tie:
+    values, total, tied = _band(model.kernel.evaluate(dm) @ model.votes, REL_TIE_TOL)
+    if len(tied) > 1:
         # Sums over rows in different orders can split equal fields by an
         # ulp. Per level, labels with equal counts get equal terms, and the
         # row-wise sum adds every column in the same order.
         levels, per_level = _level_table(dm, model.votes)
-        tos = (model.kernel.evaluate(levels)[:, None] * per_level).sum(axis=0)
-        winner, tie = _select_winner(tos)
-    return _prediction(model, tos, model.table.schema.outcome_labels[winner], tie)
+        values, total, tied = _band((model.kernel.evaluate(levels)[:, None] * per_level).sum(axis=0), REL_TIE_TOL)
+    return _prediction(model, values, total, model.table.schema.outcome_labels[tied[0]], int(len(tied) > 1))
 
 
 def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:

@@ -38,17 +38,15 @@ def match_encoded(encoded: Sequence, table: TrainingTable,
     each block row equals its single-query scores bit for bit, as does
     the score of a row picked by ``rows``.
     """
-    # ems starts from the first term, a fresh array. Columns of weight 0 add none, so
-    # every term is at least +0.0, 0.0 + t == t, and each sum keeps its bits.
-    ems = None
+    # A block's cells have shape B x 1 (a single query's are scalars, shape ()).
+    lead = getattr(encoded[0], "shape", ())[:-1] if len(encoded) else ()
+    ems = np.zeros(lead + (table._distinct_entry if rows is None else rows).shape, dtype=np.float64)
     columns = table._col_data if rows is None else [column[rows] for column in table._col_data]
     for j, spec in enumerate(table.schema.attributes):
         column, w = columns[j], spec.weight
-        if w == 0.0:
-            continue
         if spec.kind == CATEGORICAL or spec.range_width == 0.0:
             hit = column == encoded[j]
-            term = hit if w == 1.0 else np.multiply(hit, w)
+            ems += hit if w == 1.0 else np.multiply(hit, w)
         else:
             # 1 - min(|c - q|, width) / width in one buffer. Rounding is monotone, so the clamp
             # binds only for a query farther than the width from the column's min or max, and
@@ -63,11 +61,7 @@ def match_encoded(encoded: Sequence, table: TrainingTable,
                 np.minimum(cms, spec.range_width, out=cms)
             cms /= spec.range_width
             np.subtract(1.0, cms, out=cms)
-            term = cms if w == 1.0 else np.multiply(cms, w, out=cms)
-        ems = term.astype(np.float64, copy=False) if ems is None else np.add(ems, term, out=ems)
-    if ems is None:  # no column adds a term. A block's cells have shape B x 1, a query's shape ().
-        lead = getattr(encoded[0], "shape", ())[:-1] if len(encoded) else ()
-        ems = np.zeros(lead + (table._distinct_entry if rows is None else rows).shape, dtype=np.float64)
+            ems += cms if w == 1.0 else np.multiply(cms, w, out=cms)
     # Each column adds at most its weight, in total_weight's order, so dm >= 0 unclamped.
     return ems, table.total_weight - ems
 

@@ -331,10 +331,10 @@ def test_distances_stay_nonnegative_where_the_clamps_are_skipped(case):
 
 @pytest.mark.parametrize("kind, weight", [("categorical", 1.0), ("categorical", 0.25), ("categorical", -0.0),
                                           ("continuous", 1.0), ("continuous", 3.0), ("continuous", -0.0)])
-def test_scores_start_from_the_first_column_bit_for_bit(kind, weight):
-    # ems starts from the first column's term, not from zeros. A weight of
-    # -0.0 makes that term -0.0; it must not leave a -0.0 score where the
-    # column after it adds nothing, as it does for a query past its reach.
+def test_the_first_column_scores_bit_for_bit_under_any_weight(kind, weight):
+    # A weight of -0.0 makes the first column's term -0.0; it must not leave
+    # a -0.0 score where the column after it adds nothing, as it does for a
+    # query past its reach.
     schema = Schema((AttributeSpec("f", kind, weight=weight), AttributeSpec("x", "continuous")), ("A",))
     first = ["p", "q"] if kind == "categorical" else [0.0, 2.0]
     table = TrainingTable(schema, [(first[0], 0.0), (first[1], 1.0), (first[0], 4.0)], [0, 0, 0])
