@@ -277,6 +277,8 @@ class ConvergenceReportRow:
 
 
 def _check_arm(arm: Sequence) -> tuple[str, str | None]:
+    if not (isinstance(arm, (tuple, list)) and len(arm) in (1, 2)):
+        raise HarnessError(f"an arm is a predictor and an optional kernel, as a tuple or list; got {arm!r}")
     predictor, kernel = (arm[0], arm[1]) if len(arm) == 2 else (arm[0], None)
     if predictor not in PREDICTOR_KINDS:
         raise HarnessError(f"unknown predictor {predictor!r} in arm")

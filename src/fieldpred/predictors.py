@@ -142,15 +142,10 @@ def fit(
 
 def predict(model: FittedModel, query: Query) -> Prediction:
     """Score the query against the U distinct rows and reduce by the model's rule;
-    delanga and nearest score only the rows ``nearest_rows`` cannot rule out."""
-    if model.predictor_kind != "rasturnat":
-        champions = nearest_rows(query, model.table)
-        if champions is not None:
-            return _predict_champions(model, query, champions)
-    dm = match_vectors(query, model.table)[1]
+    delanga and nearest reduce the champion rows that ``nearest_rows`` finds."""
     if model.predictor_kind == "rasturnat":
-        return _predict_field(model, dm)
-    return _predict_champions(model, query, np.flatnonzero(dm == dm.min()), dm)
+        return _predict_field(model, match_vectors(query, model.table)[1])
+    return _predict_champions(model, query, nearest_rows(query, model.table)[0])
 
 
 def explain(model: FittedModel, query: Query) -> PredictionTrace:
@@ -159,14 +154,12 @@ def explain(model: FittedModel, query: Query) -> PredictionTrace:
     delanga and nearest: the minimal distance and the entries at it.
     rasturnat: each entry's kernel vote, times its dcf with density.
     """
-    entry_row = model.table._distinct_of
-    dm = match_vectors(query, model.table)[1]
     if model.predictor_kind != "rasturnat":
-        d_min = float(dm.min())
-        rows = np.flatnonzero((dm == d_min)[entry_row])
-        return PredictionTrace(champion_distance=d_min, champion_rows=tuple(int(i) for i in rows))
+        rows, d_min = nearest_rows(query, model.table)
+        return PredictionTrace(d_min, tuple(np.flatnonzero(np.isin(model.table._distinct_of, rows)).tolist()))
+    dm = match_vectors(query, model.table)[1]
     dcf = model.density.dcf if model.density is not None else 1.0
-    return PredictionTrace(ets=model.kernel.evaluate(dm)[entry_row] * dcf)
+    return PredictionTrace(ets=model.kernel.evaluate(dm)[model.table._distinct_of] * dcf)
 
 
 def _band(tos: np.ndarray, tol: float) -> tuple[list[float], float, list[int]]:
@@ -199,19 +192,15 @@ def _prediction(model: FittedModel, values: list[float], total: float, winner: s
     return Prediction(dict(zip(labels, values)), likelihoods, winner, tie_depth)
 
 
-def _predict_champions(model: FittedModel, query: Query, champions: np.ndarray,
-                       dm: np.ndarray | None = None) -> Prediction:
+def _predict_champions(model: FittedModel, query: Query, champions: np.ndarray) -> Prediction:
     """delanga and nearest: label counts over the champion rows, those at the
-    minimal distance; count ties go to delanga's level walk over all U
-    distances ``dm`` (scored here if not given), or to label order with tie
-    depth 1 for nearest."""
+    minimal distance; count ties go to delanga's level walk over all U rows,
+    scored again here, or to label order with tie depth 1 for nearest."""
     values, total, tied = _band(model.votes[champions].sum(axis=0), 0.0)
     labels = model.table.schema.outcome_labels
     winner, depth = labels[tied[0]], int(len(tied) > 1)
     if depth and model.predictor_kind == "delanga":
-        if dm is None:
-            dm = match_vectors(query, model.table)[1]
-        winner, depth = backtrack_tie_break(_level_table(dm, model.votes)[1], labels)
+        winner, depth = backtrack_tie_break(_level_table(match_vectors(query, model.table)[1], model.votes)[1], labels)
     return _prediction(model, values, total, winner, depth)
 
 

@@ -55,9 +55,14 @@ def match_encoded(encoded: Sequence, table: TrainingTable,
             q_lo, q_hi = (float(q.min()), float(q.max())) if isinstance(q, np.ndarray) else (q, q)
             if q_lo - hi > spec.range_width or lo - q_hi > spec.range_width:
                 continue
-            cms = column - q
+            reach = max(hi - q_lo, q_hi - lo)  # Python floats: an overflow is inf, with no warning
+            if reach == np.inf:  # |c - q| overflows only on rows that the clamp below sets to 0
+                with np.errstate(over="ignore"):
+                    cms = column - q
+            else:
+                cms = column - q
             np.abs(cms, out=cms)
-            if not max(hi - q_lo, q_hi - lo) <= spec.range_width:
+            if not reach <= spec.range_width:
                 np.minimum(cms, spec.range_width, out=cms)
             cms /= spec.range_width
             np.subtract(1.0, cms, out=cms)
@@ -82,15 +87,17 @@ def group_floors(encoded: Sequence, table: TrainingTable) -> np.ndarray:
     return table.total_weight - bound
 
 
-def nearest_rows(query: Query, table: TrainingTable) -> np.ndarray | None:
-    """The distinct rows at the least distance from the query, in row order;
-    None where the table has no equality groups. One pass scores the groups
-    at the two least floors. A row with a floor above the least distance d
+def nearest_rows(query: Query, table: TrainingTable) -> tuple[np.ndarray, float]:
+    """The distinct rows at the least distance from the query, in row order, and that
+    distance. A table without equality groups is scanned in full; else one pass scores
+    the groups at the two least floors. A row with a floor above the least distance d
     found is farther, so a second scores any groups above those and at most d."""
-    if table._equality_groups is None:
-        return None
-    _, order, offsets = table._equality_groups
     encoded = table.encode_query(query)
+    if table._equality_groups is None:
+        dm = match_encoded(encoded, table)[1]
+        d_min = dm.min()
+        return np.flatnonzero(dm == d_min), float(d_min)
+    _, order, offsets = table._equality_groups
     floors = group_floors(encoded, table)
     cut = np.min(floors, where=floors > floors.min(), initial=np.inf)
     rows = _group_rows(order, offsets, floors <= cut)
@@ -99,7 +106,8 @@ def nearest_rows(query: Query, table: TrainingTable) -> np.ndarray | None:
     if further.any():
         more = _group_rows(order, offsets, further)
         rows, dm = np.concatenate((rows, more)), np.concatenate((dm, match_encoded(encoded, table, more)[1]))
-    return np.sort(rows[dm == dm.min()])
+    d_min = dm.min()
+    return np.sort(rows[dm == d_min]), float(d_min)
 
 
 def _group_rows(order: np.ndarray, offsets: np.ndarray, picked: np.ndarray) -> np.ndarray:

@@ -361,6 +361,16 @@ class TestRunConvergence:
         with pytest.raises(HarnessError, match="at least one arm"):
             run_convergence(spec, [], [5], 1, 5)
 
+    def test_malformed_arms_are_refused(self):
+        spec = tiny_spec()
+        for arm in (("delanga", "bridge", "x"), (), "delanga"):
+            with pytest.raises(HarnessError, match="an arm is a predictor"):
+                run_convergence(spec, [arm], [5], 1, 5)
+        for forms in ([("delanga", None), ("delanga",), ["delanga"], ["delanga", None]],
+                      [("rasturnat", "bridge"), ["rasturnat", "bridge"]]):
+            reports = [run_convergence(spec, [arm], [5, 10], 2, 20) for arm in forms]
+            assert all(report == reports[0] for report in reports)
+
     def test_schedule_validation(self):
         spec = tiny_spec()
         arms = [("delanga", None)]

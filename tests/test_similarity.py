@@ -11,6 +11,7 @@ from fieldpred import (
     Query,
     Schema,
     TrainingTable,
+    explain,
     fit,
     predict,
 )
@@ -25,6 +26,7 @@ from .util import (
     random_categorical_instance,
     random_continuous_instance,
     random_mixed_instance,
+    reference_predict,
 )
 
 
@@ -233,11 +235,11 @@ def test_single_query_scores_equal_their_row_of_a_block(seed):
 
 
 @st.composite
-def weighted_mixed_cases(draw):
-    """A mixed table under weights of 0, -0.0, 0.25, 1 and 3, with zero-width
-    continuous columns among the others, plus queries that fall outside the
-    column ranges, some by more than a width, or hold unseen categories."""
-    kinds = draw(st.lists(st.sampled_from(["categorical", "continuous", "constant"]), min_size=1, max_size=5))
+def weighted_mixed_cases(draw, kinds=("categorical", "continuous", "constant")):
+    """A table of the column ``kinds`` under weights of 0, -0.0, 0.25, 1 and 3,
+    with zero-width continuous columns among the others, plus queries that fall
+    outside the column ranges, some by more than a width, or hold unseen categories."""
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
     weights = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.0]), min_size=len(kinds), max_size=len(kinds)))
     if sum(weights) == 0.0:
         weights[0] = 0.25
@@ -365,6 +367,23 @@ def test_a_query_past_the_float_maximum_from_the_column_scores_without_a_warning
             assert got_dm.tobytes() == np.float64(want.dm).tobytes()
 
 
+def test_a_column_wider_than_half_the_float_maximum_scores_without_a_warning():
+    # Queries within one width of hi (or lo) are not skipped, yet lie more than
+    # the float maximum from the other end, so |c - q| overflows on that row.
+    schema = Schema((AttributeSpec("x", "continuous"), AttributeSpec("c", "categorical", weight=0.5)), ("A",))
+    table = TrainingTable(schema, [(-8e307, "p"), (8e307, "q")], [0, 0])
+    queries = [Query((cell, "p")) for cell in (1.7e308, -1.7e308, 0.0)]
+    coded = [table.encode_query(q) for q in queries]
+    block_ems, block_dm = match_encoded([np.array(cells)[:, None] for cells in zip(*coded)], table)
+    for b, query in enumerate(queries):
+        ems, dm = match_vectors(query, table)
+        for i, u in enumerate(table._distinct_of):
+            want = entry_match_score(query, table, i)
+            for got_ems, got_dm in ((ems[u], dm[u]), (block_ems[b, u], block_dm[b, u])):
+                assert got_ems.tobytes() == np.float64(want.ems).tobytes()
+                assert got_dm.tobytes() == np.float64(want.dm).tobytes()
+
+
 def test_tiny_width_scores_without_a_warning():
     # |c - q| / width would overflow to inf for |c - q| = 1 at a width of
     # 5e-324; Tier-1 turns that RuntimeWarning into an error.
@@ -388,12 +407,6 @@ def _row_floors(query, table):
     return floors
 
 
-def _full_scan(model, query):
-    """delanga or nearest as the single scan of all U rows predicts."""
-    dm = match_vectors(query, model.table)[1]
-    return predictors._predict_champions(model, query, np.flatnonzero(dm == dm.min()), dm)
-
-
 def _bits(prediction):
     return (prediction.winner, prediction.tie_depth,
             [(k, v.hex()) for k, v in prediction.scores.items()],
@@ -412,14 +425,28 @@ def test_floors_bound_every_distance_and_pruning_keeps_the_prediction(case):
     models = [fit(table, "delanga"), fit(table, "nearest")]
     for query in queries:
         dm = match_vectors(query, table)[1]
-        champions = nearest_rows(query, table)
-        if table._equality_groups is None:
-            assert champions is None
-        else:
+        champions, d_min = nearest_rows(query, table)
+        if table._equality_groups is not None:
             assert (_row_floors(query, table) <= dm).all()
-            assert np.array_equal(champions, np.flatnonzero(dm == dm.min()))
+        assert np.array_equal(champions, np.flatnonzero(dm == dm.min()))
+        assert type(d_min) is float and d_min.hex() == float(dm.min()).hex()
         for model in models:
-            assert _bits(predict(model, query)) == _bits(_full_scan(model, query))
+            assert _bits(predict(model, query)) == _bits(reference_predict(model, query))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_mixed_cases() | weighted_mixed_cases(("categorical",)) | weighted_mixed_cases(("continuous",)))
+def test_explain_names_the_champions_of_a_full_scan(case):
+    # Mixed tables take the floors; tables of one kind of column take the full scan.
+    table, queries = case
+    models = [fit(table, "delanga"), fit(table, "nearest")]
+    for query in queries:
+        dm = match_vectors(query, table)[1]
+        d_min = float(dm.min())
+        entries = tuple(np.flatnonzero((dm == d_min)[table._distinct_of]).tolist())
+        for model in models:
+            why = explain(model, query)
+            assert why.champion_distance.hex() == d_min.hex() and why.champion_rows == entries
 
 
 def _counted(monkeypatch, owner, name):
@@ -445,8 +472,8 @@ def test_a_champion_past_the_two_least_floors_is_found_by_a_second_pass(monkeypa
     assert np.array_equal(match_vectors(query, table)[1][table._distinct_of], [3.0, 4.0, 2.0])
     scored = _counted(monkeypatch, similarity, "match_encoded")
     full = _counted(monkeypatch, predictors, "match_vectors")
-    champions = nearest_rows(query, table)
-    assert champions.tolist() == [table._distinct_of[2]]
+    champions, d_min = nearest_rows(query, table)
+    assert champions.tolist() == [table._distinct_of[2]] and d_min == 2.0
     assert [sorted(args[2].tolist()) for args in scored] == [sorted(table._distinct_of[:2].tolist()),
                                                                [table._distinct_of[2]]]
     prediction = predict(fit(table, "delanga"), query)
@@ -467,20 +494,27 @@ def test_a_delanga_count_tie_scores_every_row(monkeypatch):
     prediction = predict(fit(table, "nearest"), query)
     assert (prediction.winner, prediction.tie_depth) == ("A", 1)
     assert len(full) == 1
-    assert _bits(predict(delanga, query)) == _bits(_full_scan(delanga, query))
+    assert _bits(predict(delanga, query)) == _bits(reference_predict(delanga, query))
 
 
 @pytest.mark.parametrize("kinds", [("categorical", "categorical"), ("continuous", "continuous")])
 def test_tables_of_one_kind_keep_the_single_scan(kinds, monkeypatch):
+    # Without equality groups, nearest_rows scores every row once; a delanga
+    # count tie scores them all again for its level walk.
     rng = np.random.default_rng(7)
     rows = [tuple(str(rng.integers(0, 3)) if kind == "categorical" else float(rng.integers(0, 5)) for kind in kinds)
             for _ in range(20)]
     schema = Schema(tuple(AttributeSpec(f"x{j}", kind) for j, kind in enumerate(kinds)), ("A", "B"))
     table = TrainingTable(schema, rows, [int(x) for x in rng.integers(0, 2, 20)])
-    full = _counted(monkeypatch, predictors, "match_vectors")
-    for kind in ("delanga", "nearest"):
-        predict(fit(table, kind), Query(rows[0]))
-    assert table._equality_groups is None and len(full) == 2
+    assert table._equality_groups is None
+    scans = _counted(monkeypatch, similarity, "match_encoded")
+    walks = _counted(monkeypatch, predictors, "backtrack_tie_break")
+    predict(fit(table, "nearest"), Query(rows[0]))
+    assert len(scans) == 1
+    prediction = predict(fit(table, "delanga"), Query(rows[0]))
+    tied = len(walks) == 1
+    assert tied == (kinds[0] == "continuous") and (prediction.tie_depth > 0) == tied
+    assert len(scans) == (3 if tied else 2) and all(len(args) == 2 for args in scans)
 
 
 def test_high_cardinality_groups_take_memory_linear_in_rows_and_groups():
@@ -503,4 +537,4 @@ def test_high_cardinality_groups_take_memory_linear_in_rows_and_groups():
     assert np.array_equal(group_of[order], np.repeat(np.arange(s), np.diff(offsets)))
     model = fit(table, "delanga")
     for query in [Query(rows[5]), Query(("r9", "k0", "k1", "k2", "k0", 2.0)), Query(("new",) + rows[3][1:])]:
-        assert _bits(predict(model, query)) == _bits(_full_scan(model, query))
+        assert _bits(predict(model, query)) == _bits(reference_predict(model, query))
