@@ -190,10 +190,16 @@ def _outcome_cdf(spec: SyntheticSpec) -> np.ndarray:
     return cdf
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` as an int, if it is an int or numpy integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise HarnessError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def generate_synthetic(spec: SyntheticSpec, m: int, stream_id: int) -> TrainingTable:
     """Draw m i.i.d. labeled rows on the stream (seed, stream_id)."""
-    if m < 1:
-        raise HarnessError("m must be at least 1")
+    m = _positive_int(m, "m")
     rng = _stream_rng(spec.seed, stream_id)
     idx = rng.choice(spec.probs.size, size=m, p=spec.probs)
     u = rng.random(m)
@@ -213,8 +219,7 @@ def _tuple_table(spec: SyntheticSpec, idx: np.ndarray, outcomes: np.ndarray) -> 
 
 def generate_point_test(spec: SyntheticSpec, tuple_values: Sequence[str], n: int, stream_id: int) -> TrainingTable:
     """A test table whose every row sits at one tuple, labels drawn from its conditional."""
-    if n < 1:
-        raise HarnessError("n must be at least 1")
+    n = _positive_int(n, "n")
     i = spec.tuple_index(tuple_values)
     if spec.probs[i] == 0.0:
         raise HarnessError(f"tuple {tuple(tuple_values)!r} has zero mass; no conditional is defined")
@@ -309,13 +314,12 @@ def run_convergence(
     if not arms:
         raise HarnessError("at least one arm is required")
     parsed = [_check_arm(arm) for arm in arms]
-    schedule = [int(m) for m in schedule]
-    if not schedule or any(m < 1 for m in schedule):
+    schedule = [_positive_int(m, "a schedule entry") for m in schedule]
+    if not schedule:
         raise HarnessError("schedule must list positive entry counts")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise HarnessError("schedule must be strictly increasing")
-    if trials < 1 or test_size < 1:
-        raise HarnessError("trials and test_size must be positive")
+    trials, test_size = _positive_int(trials, "trials"), _positive_int(test_size, "test_size")
 
     _, bayes = bayes_optimal(spec)
     rows: list[ConvergenceReportRow] = []

@@ -244,23 +244,28 @@ def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     O(U^2 * N) for U distinct rows, scored in blocks of about 2^14 cells
     (``max(1, 2^14 // U)`` rows against all U), so that each float64
     temporary stays within glibc's 128 KiB mmap threshold and the heap
-    reuses its pages. Each row's tss equals ``math.fsum`` of its U terms,
-    so tss does not depend on the block layout. Identical entries share
-    one tss, which includes the entry's own term.
+    reuses its pages. numpy sums each row of a C-contiguous block in the
+    same order whatever rows share the block, so tss does not depend on
+    the block layout, nor on the order of the table's rows (the distinct
+    rows are in canonical order). Each tss lies within a few ulps of the
+    correctly rounded sum of its U terms. Identical entries share one tss,
+    which includes the entry's own term.
     """
     m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
     n_rows = multiplicity.size
     step = max(1, _DENSITY_BLOCK_CELLS // n_rows)
     row_tss = np.empty(n_rows, dtype=np.float64)
-    try:
+    with np.errstate(over="ignore"):
         for start in range(0, n_rows, step):
             block = [column[start:start + step, None] for column in table._col_data]
             _, dm = match_encoded(block, table)
             # Without attribute columns the scores stay one row of U = 1.
-            terms = (kernel.evaluate(dm) * multiplicity).reshape(-1, n_rows)
-            row_tss[start:start + step] = _exact_row_sums(terms)
-        tss = row_tss[table._distinct_of]
+            row_tss[start:start + step] = (kernel.evaluate(dm) * multiplicity).reshape(-1, n_rows).sum(axis=1)
+    tss = row_tss[table._distinct_of]
+    try:
+        if not np.isfinite(row_tss).all():
+            raise OverflowError
         sts = math.fsum(tss)
     except OverflowError:
         raise PredictorError(f"the density field overflows: the kernel's mld {kernel.mld} is too large "
@@ -270,50 +275,6 @@ def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     # dcf at exactly 1.0 when every entry carries the same field.
     dcf = sts / (m * tss)
     return DensityModel(tss=tss, sts=sts, stavg=stavg, dcf=dcf)
-
-
-def _exact_row_sums(values: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a 2-D array, bit for bit.
-
-    fsum rounds the exact sum once, so any exact method agrees with it.
-    Each value's 53-bit significand at binary exponent e splits into a
-    whole-number high part (26 bits, scale 2^(e-26)) and low part (27
-    bits, scale 2^(e-53)). ``np.bincount`` adds, per row, the high parts
-    at exponent e and the low parts at e + 27, which share the scale
-    2^(e-26); with n values a row, each such slot total is below n * 2^27.
-    Runs of 26 - bit_length(n) slots are then added as whole numbers below
-    2^53, so with fewer than 2^25 values a row every step is exact, and so
-    is each total scaled back (subnormals included: every value is a
-    multiple of 2^-1074). A row's dozen or so partials then go to fsum.
-    A row with a non-finite partial, or whose partials overflow fsum, is
-    summed by fsum directly, so it returns or raises as fsum does. The one
-    difference: where values of both signs cancel below the float limit
-    but fsum overflows on the way, this returns the sum.
-    """
-    n_rows, n_values = values.shape
-    group = max(1, 26 - n_values.bit_length())
-    with np.errstate(all="ignore"):
-        low, exponent = np.frexp(values)
-        low *= 2.0**26
-        high = np.trunc(low)
-        low -= high
-        lowest = int(exponent.min())
-        # Slot s of a row holds the parts of scale 2^(lowest - 53 + s).
-        span = -(-(int(exponent.max()) - lowest + 28) // group) * group
-        bins = (exponent - (lowest - 27) + span * np.arange(n_rows)[:, None]).ravel()
-        partials = np.bincount(bins, high.ravel(), n_rows * span)
-        bins -= 27
-        partials += np.bincount(bins, low.ravel(), n_rows * span) * 2.0**27
-        partials = partials.reshape(n_rows, span // group, group) @ 2.0 ** np.arange(group)
-        partials = np.ldexp(partials, np.arange(lowest - 53, lowest - 53 + span, group))
-    direct = ~np.isfinite(partials).all(axis=1)
-    sums = np.empty(n_rows, dtype=np.float64)
-    for r, row in enumerate(partials.tolist()):
-        try:
-            sums[r] = math.fsum(values[r].tolist() if direct[r] else filter(None, row))
-        except OverflowError:
-            sums[r] = math.fsum(values[r].tolist())
-    return sums
 
 
 def model_to_dict(model: FittedModel) -> dict:

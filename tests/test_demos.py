@@ -1,4 +1,4 @@
-"""Every demo script runs to completion, silently, with RuntimeWarnings as errors."""
+"""Every demo script runs to completion, silently, with every warning an error (as in CI)."""
 
 import os
 import subprocess
@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+    result = subprocess.run([sys.executable, "-W", "error", str(script)],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""

@@ -381,6 +381,26 @@ class TestRunConvergence:
         with pytest.raises(HarnessError):
             run_convergence(spec, arms, [], 1, 5)
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, "x", "5", True, None, np.float64(3.0)], ids=repr)
+    @pytest.mark.parametrize("where", ["a schedule entry", "trials", "test_size", "m", "n"])
+    def test_counts_that_are_not_positive_integers_are_refused(self, where, bad):
+        spec = tiny_spec()
+        calls = {
+            "a schedule entry": lambda: run_convergence(spec, [("delanga", None)], [5, bad], 1, 5),
+            "trials": lambda: run_convergence(spec, [("delanga", None)], [5], bad, 5),
+            "test_size": lambda: run_convergence(spec, [("delanga", None)], [5], 1, bad),
+            "m": lambda: generate_synthetic(spec, bad, 0),
+            "n": lambda: generate_point_test(spec, ("1", "0"), bad, 0),
+        }
+        with pytest.raises(HarnessError, match=f"{where} must be a positive integer"):
+            calls[where]()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        spec = tiny_spec()
+        assert run_convergence(spec, [("delanga", None)], [np.int64(5)], np.int32(2), np.uint8(7)) == \
+            run_convergence(spec, [("delanga", None)], [5], 2, 7)
+        assert generate_synthetic(spec, np.int64(4), 0).n_entries == 4
+
 
 class TestReportFiles:
     def test_header_is_frozen(self):

@@ -354,7 +354,8 @@ def _naive_kernel_value(kernel: Kernel, d: float) -> float:
 
 def reference_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     """The density fit one distinct row at a time, each row's U terms summed
-    by ``math.fsum``: the plain loop the blocked fit must reproduce bit for bit."""
+    by ``math.fsum``: the plain loop the blocked fit's numpy row sums must
+    come within a few ulps of."""
     m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
     row_tss = np.empty(multiplicity.size, dtype=np.float64)
