@@ -41,7 +41,10 @@ print(f"rasturnat/newton on {query.values}:")
 print(f"  winner={p.winner}")
 for label, score in p.scores.items():
     print(f"  tos[{label}] = {score:.6f} (likelihood {p.likelihoods[label]:.4f})")
-print(f"  per-entry votes: {[round(float(v), 4) for v in explain(field, query).ets]}")
+# explain gives the level table: each distinct distance, the label votes there, and the kernel value.
+why = explain(field, query)
+for level, votes, value in zip(why.levels, why.votes, why.kernel_values):
+    print(f"  d={level:.4f}: votes {dict(zip(field.table.schema.outcome_labels, votes.tolist()))} x kernel {value:.4f}")
 print()
 
 # Unseen category values are legal queries; they simply match nothing

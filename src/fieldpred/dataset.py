@@ -52,6 +52,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_count(value) -> bool:  # an int or numpy integer, not a bool, of at least 1
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 def _is_finite_real(value) -> bool:
     """An int or float (not a bool) with a finite value; an int too large for a float is not."""
     try:

@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (CATEGORICAL, AttributeSpec, Query, Schema, TrainingTable, _is_finite_real, _is_int, _is_str_list,
-                      _read_json)
+from .dataset import (CATEGORICAL, AttributeSpec, Query, Schema, TrainingTable, _is_count, _is_finite_real, _is_int,
+                      _is_str_list, _read_json)
 from .errors import HarnessError
 from .kernels import KERNEL_KINDS
 from .predictors import PREDICTOR_KINDS, FittedModel, fit, predict
@@ -140,9 +140,10 @@ def make_spec(
     A conditional for an unreachable tuple, or a missing one for a
     reachable tuple, is an error.
     """
-    cards, labels = tuple(int(c) for c in cardinalities), tuple(labels)
-    if not cards or min(cards) < 1 or not labels:
+    cards, labels = tuple(cardinalities), tuple(labels)
+    if not (cards and labels and all(map(_is_count, cards))):
         raise HarnessError("cardinalities must be positive integers and labels nonempty")
+    cards = tuple(map(int, cards))
     if math.prod(cards) > MAX_LAW_TUPLES:
         raise HarnessError(f"a law of {math.prod(cards)} attribute tuples exceeds the limit of {MAX_LAW_TUPLES}")
     tuples = all_tuples(cards)
@@ -192,7 +193,7 @@ def _outcome_cdf(spec: SyntheticSpec) -> np.ndarray:
 
 def _positive_int(value, what: str) -> int:
     """``value`` as an int, if it is an int or numpy integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_count(value):
         raise HarnessError(f"{what} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -253,11 +254,8 @@ def evaluate_accuracy(model: FittedModel, test_table: TrainingTable) -> float:
     label unknown to the model never does."""
     if test_table.n_entries < 1:
         raise HarnessError("empty test set")
-    model_schema = model.table.schema
     test_schema = test_table.schema
-    if [(a.name, a.kind) for a in model_schema.attributes] != [
-        (a.name, a.kind) for a in test_schema.attributes
-    ]:
+    if [(a.name, a.kind) for a in model.table.schema.attributes] != [(a.name, a.kind) for a in test_schema.attributes]:
         raise HarnessError("test table attributes do not match the model's schema")
     # predict is a pure function of the query, so each distinct test row is
     # predicted once and counts for every entry holding it.
@@ -314,9 +312,9 @@ def run_convergence(
     if not arms:
         raise HarnessError("at least one arm is required")
     parsed = [_check_arm(arm) for arm in arms]
+    if not (isinstance(schedule, (list, tuple)) and schedule):
+        raise HarnessError(f"schedule must list positive entry counts, got {schedule!r}")
     schedule = [_positive_int(m, "a schedule entry") for m in schedule]
-    if not schedule:
-        raise HarnessError("schedule must list positive entry counts")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise HarnessError("schedule must be strictly increasing")
     trials, test_size = _positive_int(trials, "trials"), _positive_int(test_size, "test_size")
@@ -332,30 +330,15 @@ def run_convergence(
                 train_stream = 2 * (trial * len(schedule) + m_index)
                 train = generate_synthetic(spec, m, train_stream)
                 test = generate_synthetic(spec, test_size, train_stream + 1)
-                model = fit(train, predictor, kernel)
-                accuracy = evaluate_accuracy(model, test)
-                rows.append(
-                    ConvergenceReportRow(
-                        m=m,
-                        predictor=predictor,
-                        kernel=kernel or "",
-                        trial=trial,
-                        accuracy=accuracy,
-                        bayes_accuracy=bayes,
-                        regret=bayes - accuracy,
-                    )
-                )
+                accuracy = evaluate_accuracy(fit(train, predictor, kernel), test)
+                rows.append(ConvergenceReportRow(m, predictor, kernel or "", trial, accuracy, bayes, bayes - accuracy))
     return rows
 
 
 def report_to_csv(rows: Sequence[ConvergenceReportRow]) -> str:
-    lines = [REPORT_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.m},{r.predictor},{r.kernel},{r.trial},"
-            f"{r.accuracy:.6f},{r.bayes_accuracy:.6f},{r.regret:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [f"{r.m},{r.predictor},{r.kernel},{r.trial},{r.accuracy:.6f},{r.bayes_accuracy:.6f},{r.regret:.6f}"
+             for r in rows]
+    return "\n".join([REPORT_HEADER, *lines]) + "\n"
 
 
 def write_report(rows: Sequence[ConvergenceReportRow], path) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _is_finite_real
+from .dataset import _is_count, _is_finite_real
 from .errors import KernelError
 
 GROWTH_KINDS = ("pow_2", "pow_e", "square", "linear")
@@ -217,6 +217,9 @@ def make_kernel(kind: str, n_entries: int, mld_override: float | None = None) ->
     ``mld_override`` replaces the default lead (the entry count); it must
     exceed 1, and pow_2, pow_e and gauss, which have no lead, refuse it.
     """
+    if not (_is_count(n_entries) and (mld_override is None or _is_finite_real(mld_override))):
+        raise KernelError(f"make_kernel takes a positive integer n_entries and a finite real mld_override, "
+                          f"got {n_entries!r} and {mld_override!r}")
     try:
         mld = float(n_entries if mld_override is None else mld_override)
     except OverflowError:
@@ -241,8 +244,8 @@ def make_kernel(kind: str, n_entries: int, mld_override: float | None = None) ->
 
 def certify_lead(kernel: Kernel, n_entries: int) -> LeadCertificate:
     """Check sepm > (n_entries - 1) * seap, the worst-case lead condition."""
-    if not isinstance(n_entries, (int, np.integer)) or n_entries < 1:
-        raise KernelError("n_entries must be a positive integer")
+    if not _is_count(n_entries):
+        raise KernelError(f"n_entries must be a positive integer, got {n_entries!r}")
     sepm = float(kernel.evaluate(0.0))
     seap = float(kernel.evaluate(1.0))
     try:

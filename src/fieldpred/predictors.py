@@ -10,8 +10,8 @@ the query to each of the table's U distinct rows, and the U x K matrix
 * ``nearest``: majority at the smallest distance, ties to label order;
   kept as a familiar baseline.
 
-``predict`` is the one way to ask a fitted model; ``explain`` recomputes
-the per-entry evidence behind an answer on request.
+``predict`` is the one way to ask a fitted model; ``explain`` returns the level
+table behind an answer, the one delanga's tie walk and rasturnat's band re-score read.
 
 Outcome scores within REL_TIE_TOL of the leader count as ties resolved by
 label order. A tie in that band is re-scored per distance level, so labels
@@ -71,12 +71,18 @@ class DensityModel:
 
 @dataclass(frozen=True, eq=False)
 class PredictionTrace:
-    """``explain``'s evidence per entry, in entry order (canonical order after a counts load): the
-    champion distance and entry indices (delanga, nearest), or every entry's vote (rasturnat)."""
+    """The level table of one query: the distinct distances from it in increasing order,
+    the L x K votes per label at each, the kernel value at each (None without a kernel),
+    and the entries at ``levels[0]``, in entry order (canonical order after a counts load)."""
 
-    champion_distance: float | None = None
-    champion_rows: tuple[int, ...] | None = None
-    ets: np.ndarray | None = None
+    levels: np.ndarray
+    votes: np.ndarray
+    kernel_values: np.ndarray | None
+    champion_rows: tuple[int, ...]
+
+    @property
+    def champion_distance(self) -> float:
+        return float(self.levels[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +155,8 @@ def predict(model: FittedModel, query: Query) -> Prediction:
 
 
 def explain(model: FittedModel, query: Query) -> PredictionTrace:
-    """The per-entry evidence behind ``predict(model, query)``, in entry order (canonical after a counts load).
-
-    delanga and nearest: the minimal distance and the entries at it.
-    rasturnat: each entry's kernel vote, times its dcf with density.
-    """
-    if model.predictor_kind != "rasturnat":
-        rows, d_min = nearest_rows(query, model.table)
-        return PredictionTrace(d_min, tuple(np.flatnonzero(np.isin(model.table._distinct_of, rows)).tolist()))
-    dm = match_vectors(query, model.table)[1]
-    dcf = model.density.dcf if model.density is not None else 1.0
-    return PredictionTrace(ets=model.kernel.evaluate(dm)[model.table._distinct_of] * dcf)
+    """The level table behind ``predict(model, query)``, from a scan of all U distinct rows."""
+    return _level_table(model, match_vectors(query, model.table)[1])
 
 
 def _band(tos: np.ndarray, tol: float) -> tuple[list[float], float, list[int]]:
@@ -175,12 +172,14 @@ def _band(tos: np.ndarray, tol: float) -> tuple[list[float], float, list[int]]:
     return values, total, [k for k, v in enumerate(values) if v >= cut]
 
 
-def _level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct distances in increasing order, and the votes per label at each."""
+def _level_table(model: FittedModel, dm: np.ndarray) -> PredictionTrace:
+    """The level table of the distances ``dm`` to the U distinct rows. Each label's votes
+    per level add in row order, so labels with equal votes at a level get equal sums."""
     levels, level_of = np.unique(dm, return_inverse=True)
-    per_level = np.zeros((levels.size, votes.shape[1]))
-    np.add.at(per_level, level_of, votes)
-    return levels, per_level
+    votes = np.stack([np.bincount(level_of, column, levels.size) for column in model.votes.T], axis=1)
+    kernel_values = model.kernel.evaluate(levels) if model.kernel is not None else None
+    champions = np.flatnonzero(dm[model.table._distinct_of] == levels[0])
+    return PredictionTrace(levels, votes, kernel_values, tuple(champions.tolist()))
 
 
 def _prediction(model: FittedModel, values: list[float], total: float, winner: str, tie_depth: int) -> Prediction:
@@ -200,7 +199,7 @@ def _predict_champions(model: FittedModel, query: Query, champions: np.ndarray) 
     labels = model.table.schema.outcome_labels
     winner, depth = labels[tied[0]], int(len(tied) > 1)
     if depth and model.predictor_kind == "delanga":
-        winner, depth = backtrack_tie_break(_level_table(match_vectors(query, model.table)[1], model.votes)[1], labels)
+        winner, depth = backtrack_tie_break(_level_table(model, match_vectors(query, model.table)[1]).votes, labels)
     return _prediction(model, values, total, winner, depth)
 
 
@@ -214,7 +213,12 @@ def backtrack_tie_break(level_counts: Sequence[Sequence[int]], labels: Sequence[
     run out; then the earliest surviving label wins. Returns the winner
     and the number of levels examined beyond level 0.
     """
-    counts = np.asarray(level_counts)
+    try:
+        counts = np.asarray(level_counts)
+    except ValueError:  # ragged rows
+        counts = np.empty(0)
+    if counts.ndim != 2 or not counts.size or counts.shape[1] != len(labels) or counts.dtype.kind not in "biuf":
+        raise PredictorError(f"level_counts must be a non-empty table of numbers with {len(labels)} columns")
     tied = np.flatnonzero(counts[0] == counts[0].max())
     if tied.size < 2:
         raise PredictorError("backtrack_tie_break requires a tie at level 0")
@@ -233,8 +237,8 @@ def _predict_field(model: FittedModel, dm: np.ndarray) -> Prediction:
         # Sums over rows in different orders can split equal fields by an
         # ulp. Per level, labels with equal counts get equal terms, and the
         # row-wise sum adds every column in the same order.
-        levels, per_level = _level_table(dm, model.votes)
-        values, total, tied = _band((model.kernel.evaluate(levels)[:, None] * per_level).sum(axis=0), REL_TIE_TOL)
+        trace = _level_table(model, dm)
+        values, total, tied = _band((trace.kernel_values[:, None] * trace.votes).sum(axis=0), REL_TIE_TOL)
     return _prediction(model, values, total, model.table.schema.outcome_labels[tied[0]], int(len(tied) > 1))
 
 

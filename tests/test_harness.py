@@ -115,7 +115,9 @@ class TestMakeSpec:
         with pytest.raises(HarnessError, match="finite"):
             make_spec((2,), ("+", "-"), 1, conditionals={("0",): [mass, 0.5], ("1",): [1, 0]})
 
-    @pytest.mark.parametrize("cards, labels", [((0,), ("+", "-")), ((), ("+", "-")), ((2,), ())])
+    @pytest.mark.parametrize("cards, labels", [((0,), ("+", "-")), ((), ("+", "-")), ((2,), ()), ([2.5], ("+", "-")),
+                                               ((2.0,), ("+", "-")), (("2",), ("+", "-")), ((True,), ("+", "-"))],
+                             ids=repr)
     def test_empty_law_rejected(self, cards, labels):
         with pytest.raises(HarnessError, match="positive integers and labels nonempty"):
             make_spec(cards, labels, 1, conditionals={})
@@ -381,6 +383,12 @@ class TestRunConvergence:
         with pytest.raises(HarnessError):
             run_convergence(spec, arms, [], 1, 5)
 
+    @pytest.mark.parametrize("schedule", [5, None, "55", range(5, 7), {5, 10}], ids=repr)
+    def test_a_schedule_that_is_not_a_list_or_tuple_is_refused(self, schedule):
+        # 5 and None used to raise TypeError, and "55" was read as the characters "5", "5".
+        with pytest.raises(HarnessError, match="schedule must list positive entry counts"):
+            run_convergence(tiny_spec(), [("delanga", None)], schedule, 1, 5)
+
     @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, "x", "5", True, None, np.float64(3.0)], ids=repr)
     @pytest.mark.parametrize("where", ["a schedule entry", "trials", "test_size", "m", "n"])
     def test_counts_that_are_not_positive_integers_are_refused(self, where, bad):
@@ -400,6 +408,7 @@ class TestRunConvergence:
         assert run_convergence(spec, [("delanga", None)], [np.int64(5)], np.int32(2), np.uint8(7)) == \
             run_convergence(spec, [("delanga", None)], [5], 2, 7)
         assert generate_synthetic(spec, np.int64(4), 0).n_entries == 4
+        assert make_spec([np.int64(2)], ("+", "-"), 1, conditionals={("0",): [1, 0], ("1",): [0, 1]}).cardinalities == (2,)
 
 
 class TestReportFiles:

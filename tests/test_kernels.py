@@ -193,6 +193,12 @@ class TestCertification:
         assert cert.certified is True
         assert cert.sepm / cert.seap == pytest.approx(m, rel=1e-12)
 
+    @pytest.mark.parametrize("n_entries", [True, 0, 2.0, "4"], ids=repr)
+    def test_an_entry_count_that_is_not_a_positive_integer_is_refused(self, n_entries):
+        # True used to certify a table of one entry.
+        with pytest.raises(KernelError, match="n_entries must be a positive integer"):
+            certify_lead(make_kernel("bridge", 4), n_entries)
+
     def test_spliced_certified_at_its_own_lead(self):
         k = Kernel("spliced", 12.0, base=make_kernel("pow_2", 12))
         cert = certify_lead(k, 12)
@@ -263,6 +269,15 @@ class TestErrors:
         once = Kernel("spliced", 4.0, base=make_kernel("pow_2", 4))
         with pytest.raises(KernelError, match="spliced"):
             Kernel("spliced", 4.0, base=once)
+
+    @pytest.mark.parametrize("n_entries, mld_override", [(5, "3"), ("5", None), (5.0, None), (True, None), (0, None),
+                                                         (5, True), (5, [3.0]), (5, math.inf)], ids=repr)
+    def test_arguments_of_the_wrong_type_are_refused(self, n_entries, mld_override):
+        with pytest.raises(KernelError, match="positive integer n_entries and a finite real mld_override"):
+            make_kernel("bridge", n_entries, mld_override=mld_override)
+
+    def test_numpy_numbers_are_accepted(self):
+        assert make_kernel("bridge", np.int64(5), np.float64(3.0)) == make_kernel("bridge", 5, 3)
 
     def test_single_row_table_still_gets_a_usable_bridge(self):
         k = make_kernel("bridge", 1)

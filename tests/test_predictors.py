@@ -32,6 +32,7 @@ from fieldpred import (
 )
 from fieldpred import predictors
 from fieldpred.predictors import model_from_dict, model_to_dict
+from fieldpred.similarity import match_vectors
 
 from .util import (
     ScaledKernel,
@@ -41,6 +42,7 @@ from .util import (
     random_continuous_instance,
     random_mixed_instance,
     reference_density_model,
+    reference_level_table,
     reference_predict,
     reference_prediction,
     reference_winner,
@@ -115,6 +117,13 @@ class TestBacktrack:
         with pytest.raises(PredictorError, match="tie"):
             backtrack_tie_break([[2, 1]], ("A", "B"))
 
+    @pytest.mark.parametrize("counts", [[[1, 1], [1]], [], [[0, 1, 1]], [[1], [1]], [[]], "ab", [["a", "a"]]],
+                             ids=repr)
+    def test_refuses_a_table_that_is_not_levels_by_labels(self, counts):
+        # Ragged, empty, or not one column per label: [[0, 1, 1]] used to give ('B', 0).
+        with pytest.raises(PredictorError, match="level_counts must be a non-empty table of numbers with 2 columns"):
+            backtrack_tie_break(counts, ("A", "B"))
+
 
 class TestRasturnat:
     def test_pow_2_hand_example(self):
@@ -140,21 +149,26 @@ class TestRasturnat:
         assert p.winner == "A"
         assert p.tie_depth == 1
 
-    def test_trace_exposes_per_entry_scores(self):
+    def test_trace_exposes_the_level_table(self):
         model = fit(two_bit_table(THREE_ROWS), "rasturnat", "pow_2")
         why = explain(model, Query(("0", "0")))
-        assert list(why.ets) == [1.0, 0.5, 0.25]
-        assert why.champion_rows is None
+        assert why.levels.tolist() == [0.0, 1.0, 2.0]
+        assert why.votes.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        assert why.kernel_values.tolist() == [1.0, 0.5, 0.25]
+        assert (why.champion_rows, why.champion_distance) == ((0,), 0.0)
 
-    def test_explain_scales_votes_by_dcf_with_density(self):
+    def test_explain_sums_dcf_votes_per_level_with_density(self):
+        # Entries 0 and 3 share the row at d = 0; its A votes add their dcf in entry order.
         table = two_bit_table(THREE_ROWS + [(("0", "0"), "A")])
         model = fit(table, "rasturnat", "pow_2", density=True)
         query = Query(("0", "0"))
         why = explain(model, query)
-        assert list(why.ets) == list(np.array([1.0, 0.5, 0.25, 1.0]) * model.density.dcf)
+        dcf = model.density.dcf
+        assert why.votes.tolist() == [[dcf[0] + dcf[3], 0.0], [0.0, dcf[1]], [0.0, dcf[2]]]
+        assert why.champion_rows == (0, 3)
         p = predict(model, query)
-        assert p.scores["A"] == pytest.approx(why.ets[0] + why.ets[3], rel=1e-15)
-        assert p.scores["B"] == pytest.approx(why.ets[1] + why.ets[2], rel=1e-15)
+        fields = (why.kernel_values[:, None] * why.votes).sum(axis=0)
+        assert [p.scores["A"], p.scores["B"]] == pytest.approx(fields.tolist(), rel=1e-15)
 
 
 class TestNearest:
@@ -175,7 +189,7 @@ class TestNearest:
         why = explain(model, Query(("0", "0")))
         assert why.champion_rows == (0, 2)
         assert why.champion_distance == 0.0
-        assert why.ets is None
+        assert why.votes.tolist() == [[1.0, 1.0], [0.0, 1.0]] and why.kernel_values is None
         p = predict(model, Query(("0", "0")))
         assert (p.winner, p.tie_depth) == ("A", 1)
 
@@ -773,6 +787,44 @@ def test_predict_equals_the_numpy_reduction_bit_for_bit(seed, arm, categorical):
     model = fit(table, arm) if arm in predictors.PREDICTOR_KINDS else fit(table, "rasturnat", arm)
     for query in queries:
         assert prediction_bits(predict(model, query)) == prediction_bits(reference_predict(model, query))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_level_table_adds_votes_as_np_add_at_does(seed, density):
+    # Counts, or dcf sums with density: per label, np.bincount adds each level's votes in row order.
+    rng = np.random.default_rng(seed)
+    table, queries = random_mixed_instance(rng, max_entries=120)
+    model = fit(table, "rasturnat", "bridge", density=True) if density else fit(table, "delanga")
+    for query in queries:
+        dm = match_vectors(query, table)[1]
+        why = predictors._level_table(model, dm)
+        levels, votes = reference_level_table(dm, model.votes)
+        assert why.levels.tobytes() == levels.tobytes() and why.votes.tobytes() == votes.tobytes()
+        assert why.champion_rows == tuple(np.flatnonzero(dm[table._distinct_of] == dm.min()).tolist())
+        assert (why.kernel_values is None) != density
+        if density:
+            assert why.kernel_values.tobytes() == model.kernel.evaluate(levels).tobytes()
+
+
+def test_explain_holds_the_table_that_decides_each_tie():
+    # A rasturnat band tie is re-scored from the level table, bit for bit, and a delanga
+    # count tie walks it; small categorical tables tie often.
+    ties = {"delanga": 0, "bridge": 0, "decay_b": 0}
+    for seed in range(300):
+        table, query = random_categorical_instance(np.random.default_rng(seed))
+        labels = table.schema.outcome_labels
+        for arm in ties:
+            model = fit(table, "delanga") if arm == "delanga" else fit(table, "rasturnat", arm)
+            p, why = predict(model, query), explain(model, query)
+            if arm == "delanga" and (why.votes[0] == why.votes[0].max()).sum() > 1:
+                assert backtrack_tie_break(why.votes, labels) == (p.winner, p.tie_depth)
+                ties[arm] += 1
+            elif arm != "delanga" and p.tie_depth:
+                fields = (why.kernel_values[:, None] * why.votes).sum(axis=0)
+                assert [v.hex() for v in fields.tolist()] == [p.scores[label].hex() for label in labels]
+                ties[arm] += 1
+    assert min(ties.values()) > 0, ties
 
 
 def test_an_underflowed_field_gives_nan_likelihoods_and_the_first_label():

@@ -437,9 +437,10 @@ def test_floors_bound_every_distance_and_pruning_keeps_the_prediction(case):
 @settings(max_examples=200, deadline=None)
 @given(weighted_mixed_cases() | weighted_mixed_cases(("categorical",)) | weighted_mixed_cases(("continuous",)))
 def test_explain_names_the_champions_of_a_full_scan(case):
-    # Mixed tables take the floors; tables of one kind of column take the full scan.
+    # predict takes the floors on mixed tables and the full scan on tables of one kind
+    # of column; explain scans in full for every rule.
     table, queries = case
-    models = [fit(table, "delanga"), fit(table, "nearest")]
+    models = [fit(table, "delanga"), fit(table, "nearest"), fit(table, "rasturnat", "bridge")]
     for query in queries:
         dm = match_vectors(query, table)[1]
         d_min = float(dm.min())

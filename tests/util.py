@@ -32,7 +32,7 @@ from fieldpred import (
     predict,
 )
 from fieldpred.dataset import CATEGORICAL, CONTINUOUS, _is_real
-from fieldpred.predictors import REL_TIE_TOL, _level_table
+from fieldpred.predictors import REL_TIE_TOL
 from fieldpred.similarity import match_encoded, match_vectors
 
 LABEL_POOL = ("A", "B", "C")
@@ -276,6 +276,15 @@ def reference_prediction(labels: Sequence[str], tos: np.ndarray, winner: str, ti
                       {label: float(tos[k] / total) for k, label in enumerate(labels)}, winner, tie_depth)
 
 
+def reference_level_table(dm: np.ndarray, votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct distances in increasing order, and the votes per label at each,
+    added row by row with ``np.add.at``."""
+    levels, level_of = np.unique(dm, return_inverse=True)
+    per_level = np.zeros((levels.size, votes.shape[1]))
+    np.add.at(per_level, level_of, votes)
+    return levels, per_level
+
+
 def reference_predict(model, query: Query) -> Prediction:
     """``predict`` by a full scan of the U rows and the numpy reduction:
     rasturnat re-scores a band tie per distance level, delanga walks a count
@@ -286,14 +295,14 @@ def reference_predict(model, query: Query) -> Prediction:
         tos = model.kernel.evaluate(dm) @ model.votes
         winner, tie = reference_winner(tos, REL_TIE_TOL)
         if tie:
-            levels, per_level = _level_table(dm, model.votes)
+            levels, per_level = reference_level_table(dm, model.votes)
             tos = (model.kernel.evaluate(levels)[:, None] * per_level).sum(axis=0)
             winner, tie = reference_winner(tos, REL_TIE_TOL)
         return reference_prediction(labels, tos, labels[winner], tie)
     counts = model.votes[dm == dm.min()].sum(axis=0)
     winner, tie = reference_winner(counts, 0.0)
     if tie and model.predictor_kind == "delanga":
-        return reference_prediction(labels, counts, *backtrack_tie_break(_level_table(dm, model.votes)[1], labels))
+        return reference_prediction(labels, counts, *backtrack_tie_break(reference_level_table(dm, model.votes)[1], labels))
     return reference_prediction(labels, counts, labels[winner], tie)
 
 
