@@ -74,13 +74,17 @@ class SyntheticSpec:
     conditionals: np.ndarray
 
     def __post_init__(self):
-        cards = tuple(int(c) for c in self.cardinalities)
-        object.__setattr__(self, "cardinalities", cards)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not cards or any(c < 1 for c in cards):
+        cards, labels, seed = tuple(self.cardinalities), self.labels, self.seed
+        if not (cards and all(map(_is_count, cards))):
             raise HarnessError("cardinalities must be positive integers")
-        if not self.labels or len(set(self.labels)) != len(self.labels):
-            raise HarnessError("labels must be nonempty and unique")
+        if not (isinstance(labels, (list, tuple)) and labels and len(set(labels)) == len(labels)):
+            raise HarnessError("labels must be a nonempty list or tuple of unique names")
+        if not (_is_int(seed) or isinstance(seed, np.integer)):
+            raise HarnessError(f"seed must be an integer, got {seed!r}")
+        cards = tuple(map(int, cards))
+        object.__setattr__(self, "cardinalities", cards)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "seed", int(seed))
         k = int(np.prod(cards))
         probs = np.asarray(self.probs, dtype=np.float64)
         cond = np.asarray(self.conditionals, dtype=np.float64)
@@ -140,7 +144,7 @@ def make_spec(
     A conditional for an unreachable tuple, or a missing one for a
     reachable tuple, is an error.
     """
-    cards, labels = tuple(cardinalities), tuple(labels)
+    cards = tuple(cardinalities)
     if not (cards and labels and all(map(_is_count, cards))):
         raise HarnessError("cardinalities must be positive integers and labels nonempty")
     cards = tuple(map(int, cards))
@@ -182,7 +186,7 @@ def make_spec(
     if missing.size:
         raise HarnessError(f"missing conditional for reachable tuple {tuples[missing[0]]!r}")
 
-    return SyntheticSpec(cards, labels, int(seed), probs, cond)
+    return SyntheticSpec(cards, labels, seed, probs, cond)
 
 
 def _outcome_cdf(spec: SyntheticSpec) -> np.ndarray:

@@ -22,8 +22,10 @@ and far below any genuine score gap.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -43,7 +45,10 @@ PREDICTOR_KINDS = ("delanga", "rasturnat", "nearest")
 #: leading score are treated as exactly tied.
 REL_TIE_TOL = 1e-12
 
-MODEL_FILE_VERSION = 3
+MODEL_FILE_VERSION = 4
+
+#: Version 4's packed dtypes (the kind is the second character): values, then codes and counts.
+_PACKED_DTYPES = ("<f8", "|u1", "<u2", "<u4", "<u8")
 
 #: Cells a density-fit block scores at once: B rows against all U rows.
 _DENSITY_BLOCK_CELLS = 1 << 14
@@ -281,18 +286,25 @@ def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     return DensityModel(tss=tss, sts=sts, stavg=stavg, dcf=dcf)
 
 
+def _packed(arr: np.ndarray, dtype: str | None = None) -> dict:
+    """Version 4's form of a numeric array: its little-endian bytes as ``dtype``
+    (by default the smallest unsigned one that holds its maximum), compressed at
+    zlib level 1, in base64."""
+    dtype = np.dtype(dtype or np.min_scalar_type(int(arr.max()))).newbyteorder("<")
+    return {"dtype": dtype.str, "zlib": base64.b64encode(zlib.compress(arr.astype(dtype).tobytes(), 1)).decode()}
+
+
 def model_to_dict(model: FittedModel) -> dict:
-    """Version 3: the U distinct rows column by column and ``counts``, K lists
-    of U label counts; with a density, per entry its distinct row and outcome
-    instead, so that the per-entry tss and dcf keep their order."""
+    """Version 4: the U distinct rows column by column and ``counts``, the K x U label
+    counts; with a density, per entry its distinct row and outcome instead, so that
+    the per-entry tss and dcf keep their order. Each of these arrays is ``_packed``."""
     table = model.table
     columns = [
-        {"values": data.tolist()} if vocab is None
-        else {"categories": list(vocab), "codes": data.astype(np.intp).tolist()}
+        {"values": _packed(data, "<f8")} if vocab is None else {"categories": list(vocab), "codes": _packed(data)}
         for vocab, data in zip(table._col_vocab, table._col_data)
     ]
-    entries = ({"counts": table._label_counts.T.astype(np.intp).tolist()} if model.density is None
-               else {"entry_row": table._distinct_of.tolist(), "outcomes": table._outcomes.tolist()})
+    entries = ({"counts": _packed(table._label_counts.T)} if model.density is None
+               else {"entry_row": _packed(table._distinct_of), "outcomes": _packed(table._outcomes)})
     payload: dict = {
         "version": MODEL_FILE_VERSION,
         "predictor": model.predictor_kind,
@@ -315,21 +327,34 @@ def model_to_dict(model: FittedModel) -> dict:
 
 
 def _array(value, kinds: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A JSON list, nested to ``shape``, of numbers (not booleans) as an array
-    of numpy kinds ``kinds``."""
+    """A JSON list, nested to ``shape``, of numbers (not booleans), or a packed
+    array (``_packed``) inflated no further than ``shape`` needs, as an array of
+    numpy kinds ``kinds``."""
+    if isinstance(value, dict):
+        dtype, text, allowed = value.get("dtype"), value.get("zlib"), [t for t in _PACKED_DTYPES if t[1] in kinds]
+        if not (dtype in allowed and isinstance(text, str)):
+            raise PredictorError(f"model file: {what} must pack base64 text as one of the dtypes {allowed}")
+        size, inflate = math.prod(shape) * np.dtype(dtype).itemsize, zlib.decompressobj()
+        try:
+            raw = inflate.decompress(base64.b64decode(text, validate=True), size)
+        except (ValueError, OverflowError, zlib.error):
+            raw = b""
+        if len(raw) != size or not inflate.eof or inflate.unused_data:
+            raise PredictorError(f"model file: {what} must pack one zlib stream of {size} bytes")
+        return np.frombuffer(raw, dtype).reshape(shape)
     try:
         arr = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
         arr = None
     if arr is None or arr.dtype.kind not in kinds or arr.shape != shape or (
             bool in set(map(type, chain.from_iterable(value) if len(shape) > 1 else value))):
-        noun = "integers" if kinds == "i" else "numbers"
+        noun = "numbers" if "f" in kinds else "integers"
         raise PredictorError(f"model file: {what} must list {' lists of '.join(map(str, shape))} {noun}")
     return arr
 
 
 def _index_array(value, size: int, bound: int, what: str) -> np.ndarray:
-    arr = _array(value, "i", (size,), what)
+    arr = _array(value, "iu", (size,), what)
     if arr.min() < 0 or arr.max() >= bound:
         raise PredictorError(f"model file: {what} must lie in 0..{bound - 1}")
     return arr.astype(np.intp)
@@ -358,22 +383,7 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
     if not (isinstance(columns, list) and len(columns) == schema.n_attributes
             and all(isinstance(column, dict) for column in columns)):
         raise PredictorError(f"model file: columns must list {schema.n_attributes} objects")
-    k = len(schema.outcome_labels)
-    if "counts" in payload:  # entries in canonical order: distinct row, then label
-        counts = _array(payload["counts"], "i", (k, u), "counts")
-        if counts.min() < 0 or sum(counts.ravel().tolist()) != m:
-            raise PredictorError(f"model file: counts must be integers >= 0 that sum to n_entries ({m})")
-        try:
-            cells = np.repeat(np.arange(u * k), counts.T.ravel())
-        except MemoryError:
-            raise PredictorError(f"model file: {m} entries do not fit in memory") from None
-        entry_row, outcomes = cells // k, cells % k
-    else:
-        entry_row = _index_array(payload["entry_row"], m, u, "entry_row")
-        outcomes = _index_array(payload["outcomes"], m, k, "outcomes")
-    # Rows no entry holds are dropped; the others keep their order.
-    named = np.bincount(entry_row, minlength=u) > 0
-    entry_row = (np.cumsum(named) - 1)[entry_row]
+    # The U-long columns first: their size in the file bounds U before anything is sized by it.
     coded, vocabs = [], []
     for spec, column in zip(schema.attributes, columns):
         what = f"column {spec.name!r}"
@@ -387,8 +397,24 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
         else:
             vocabs.append(None)
             data = _real_array(column["values"], u, f"{what} values")
-        coded.append(data[named])
-    return TrainingTable._from_columns(schema, coded, vocabs, entry_row, outcomes)
+        coded.append(data)
+    k = len(schema.outcome_labels)
+    if "counts" in payload:  # entries in canonical order: distinct row, then label
+        counts = _array(payload["counts"], "iu", (k, u), "counts")
+        if counts.min() < 0 or sum(counts.ravel().tolist()) != m:
+            raise PredictorError(f"model file: counts must be integers >= 0 that sum to n_entries ({m})")
+        try:
+            cells = np.repeat(np.arange(u * k), counts.T.ravel().astype(np.intp))
+        except MemoryError:
+            raise PredictorError(f"model file: {m} entries do not fit in memory") from None
+        entry_row, outcomes = cells // k, cells % k
+    else:
+        entry_row = _index_array(payload["entry_row"], m, u, "entry_row")
+        outcomes = _index_array(payload["outcomes"], m, k, "outcomes")
+    # Rows no entry holds are dropped; the others keep their order.
+    named = np.bincount(entry_row, minlength=u) > 0
+    entry_row = (np.cumsum(named) - 1)[entry_row]
+    return TrainingTable._from_columns(schema, [data[named] for data in coded], vocabs, entry_row, outcomes)
 
 
 def _density_from_dict(payload, m: int) -> DensityModel:
@@ -412,14 +438,14 @@ def _density_from_dict(payload, m: int) -> DensityModel:
 def model_from_dict(payload: dict) -> FittedModel:
     """Check a model document in one pass and rebuild the fitted model.
 
-    Version 3 files are written by ``model_to_dict``. Version 2 files
-    (always per-entry rows and outcomes) and version 1 files (every entry's
-    cells) still load. The ``trace`` key of older files is ignored.
+    Version 4 files are written by ``model_to_dict``. Versions 3 (the same
+    arrays as JSON lists), 2 (always per-entry rows and outcomes) and 1 (every
+    entry's cells) still load. The ``trace`` key of older files is ignored.
     """
     if not isinstance(payload, dict):
         raise PredictorError("model document must be a JSON object")
     version = payload.get("version")
-    if not _is_int(version) or version not in (1, 2, MODEL_FILE_VERSION):
+    if not _is_int(version) or version not in range(1, MODEL_FILE_VERSION + 1):
         raise PredictorError(f"unsupported model file version {version!r}")
     try:
         schema = schema_from_dict(payload["schema"])
@@ -437,8 +463,8 @@ def model_from_dict(payload: dict) -> FittedModel:
         raise PredictorError(f"model file holds predictor {predictor!r} with kernel {payload.get('kernel')!r}")
     if density is not None and kernel is None:
         raise PredictorError("model file holds a density for a predictor without a kernel")
-    if version == MODEL_FILE_VERSION and ("counts" in payload) == (density is not None):
-        raise PredictorError("model file: version 3 lists counts when it has no density, else entry_row and outcomes")
+    if version >= 3 and ("counts" in payload) == (density is not None):
+        raise PredictorError("model file: from version 3, counts without a density, else entry_row and outcomes")
     return FittedModel(table, predictor, kernel=kernel, density=density)
 
 

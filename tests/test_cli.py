@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import io
@@ -6,8 +7,10 @@ import re
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from fieldpred.dataset import load_table, schema_to_dict
 from fieldpred.harness import all_tuples, spec_to_dict
 from fieldpred.predictors import model_to_dict
 
-from .util import as_version_2
+from .util import as_version_2, as_version_3
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,13 +145,25 @@ def _spliced_chain(depth: int) -> dict:
     return kernel
 
 
+def _packed(data: bytes, dtype: str, level: int | None = 1, cut: int = 0, tail: bytes = b"") -> dict:
+    """A version 4 packed array of ``data`` (raw when ``level`` is None), its
+    stream cut short by ``cut`` bytes or followed by ``tail``."""
+    stream = data if level is None else zlib.compress(data, level)
+    return {"dtype": dtype, "zlib": base64.b64encode(stream[:len(stream) - cut] + tail).decode()}
+
+
+def _v3(corrupt):
+    """``corrupt`` applied to the version 3 form (JSON lists) of a version 4 document."""
+    return lambda payload: corrupt(as_version_3(payload))
+
+
 def _v2(corrupt):
-    """``corrupt`` applied to the version 2 form of a version 3 counts document."""
-    return lambda payload: corrupt(as_version_2(payload))
+    """``corrupt`` applied to the version 2 form of a version 4 counts document."""
+    return lambda payload: corrupt(as_version_2(as_version_3(payload)))
 
 
 def _with_density(corrupt):
-    """``corrupt`` applied, in place, to a version 3 document of the same
+    """``corrupt`` applied, in place, to a version 4 document of the same
     table fitted with a density, which lists entry_row and outcomes."""
     def apply(payload):
         payload.clear()
@@ -161,9 +176,9 @@ def _with_density(corrupt):
     pytest.param(lambda payload: payload["kernel"].update(mld="nan"), id="nan-mld"),
     pytest.param(lambda payload: payload.pop("schema"), id="no-schema"),
     pytest.param(lambda payload: payload["schema"]["attributes"][0].update(weight="nan"), id="nan-weight"),
-    pytest.param(lambda payload: payload["columns"][1]["values"].__setitem__(0, None), id="null-cell"),
-    pytest.param(lambda payload: payload["columns"][0]["codes"].__setitem__(0, None), id="null-code"),
-    pytest.param(lambda payload: payload["columns"][0]["codes"].__setitem__(0, 7), id="code-out-of-range"),
+    pytest.param(_v3(lambda payload: payload["columns"][1]["values"].__setitem__(0, None)), id="null-cell"),
+    pytest.param(_v3(lambda payload: payload["columns"][0]["codes"].__setitem__(0, None)), id="null-code"),
+    pytest.param(_v3(lambda payload: payload["columns"][0]["codes"].__setitem__(0, 7)), id="code-out-of-range"),
     # Version 2 lists every entry's row and outcome.
     pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, 0.5)), id="fractional-outcome"),
     pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, "yes")), id="string-outcome"),
@@ -172,32 +187,68 @@ def _with_density(corrupt):
     pytest.param(_v2(lambda payload: payload["entry_row"].append(0)), id="long-entry-row"),
     pytest.param(_v2(lambda payload: payload["entry_row"].__setitem__(0, payload["n_rows"])), id="entry-row-past-u"),
     pytest.param(_v2(lambda payload: payload.update(n_entries=6)), id="wrong-n-entries"),
-    # Version 3 holds the label counts, K lists of U: [[1, 1, 0, 0, 1], [0, 0, 1, 1, 0]].
-    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, 0.5), id="fractional-count"),
-    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, "1"), id="string-count"),
-    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, True), id="bool-count"),
-    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, 10**20), id="count-past-int64"),
-    pytest.param(lambda payload: payload["counts"][0].__setitem__(0, None), id="null-count"),
-    pytest.param(lambda payload: payload.update(counts=[[-1, 1, 0, 0, 1], [2, 0, 1, 1, 0]]), id="negative-count"),
-    pytest.param(lambda payload: payload["counts"][0].pop(), id="short-counts"),
-    pytest.param(lambda payload: payload["counts"][0].append(0), id="long-counts"),
-    pytest.param(lambda payload: payload["counts"].pop(), id="missing-label-counts"),
-    pytest.param(lambda payload: payload["counts"].__setitem__(1, [[0]] * 5), id="nested-counts"),
+    # Version 3 lists the label counts, K lists of U: [[1, 1, 0, 0, 1], [0, 0, 1, 1, 0]].
+    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, 0.5)), id="fractional-count"),
+    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, "1")), id="string-count"),
+    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, True)), id="bool-count"),
+    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, 10**20)), id="count-past-int64"),
+    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, None)), id="null-count"),
+    pytest.param(_v3(lambda payload: payload.update(counts=[[-1, 1, 0, 0, 1], [2, 0, 1, 1, 0]])), id="negative-count"),
+    pytest.param(_v3(lambda payload: payload["counts"][0].pop()), id="short-counts"),
+    pytest.param(_v3(lambda payload: payload["counts"][0].append(0)), id="long-counts"),
+    pytest.param(_v3(lambda payload: payload["counts"].pop()), id="missing-label-counts"),
+    pytest.param(_v3(lambda payload: payload["counts"].__setitem__(1, [[0]] * 5)), id="nested-counts"),
     pytest.param(lambda payload: payload.update(n_entries=6), id="counts-short-of-n-entries"),
     pytest.param(lambda payload: payload.update(n_entries=4), id="counts-past-n-entries"),
     pytest.param(lambda payload: payload.pop("counts"), id="no-counts"),
     # numpy refuses 8e15 bytes up front, before touching any memory.
-    pytest.param(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [10**15, 0, 1, 1, 0]], n_entries=5 + 10**15),
-                 id="counts-past-memory"),
+    pytest.param(_v3(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [10**15, 0, 1, 1, 0]],
+                                                    n_entries=5 + 10**15)), id="counts-past-memory"),
     # Counts that sum to n_entries = 2^64 + 3, which would wrap numpy's int64 entry total.
-    pytest.param(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**62] * 4 + [0]], n_entries=3 + 2**64),
+    pytest.param(_v3(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**62] * 4 + [0]], n_entries=3 + 2**64)),
                  id="counts-past-2-to-the-53"),
     # Counts that sum to 2^64 + 3, which int64 arithmetic would read as n_entries = 3.
-    pytest.param(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**63 - 1, 2**63 - 1, 1, 1, 0]], n_entries=3),
-                 id="counts-wrapping-to-n-entries"),
-    pytest.param(lambda payload: payload["columns"][1]["values"].pop(), id="short-column"),
-    pytest.param(lambda payload: payload["columns"][1]["values"].__setitem__(0, True), id="bool-cell"),
+    pytest.param(_v3(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**63 - 1, 2**63 - 1, 1, 1, 0]],
+                                                    n_entries=3)), id="counts-wrapping-to-n-entries"),
+    pytest.param(_v3(lambda payload: payload["columns"][1]["values"].pop()), id="short-column"),
+    pytest.param(_v3(lambda payload: payload["columns"][1]["values"].__setitem__(0, True)), id="bool-cell"),
     pytest.param(lambda payload: payload.update(version=3.0), id="float-version"),
+    # Version 4 packs the codes [0, 0, 1, 1, 2], the sizes [1.0, 2.0, 3.0, 4.0, 2.5] and the counts.
+    *(pytest.param(lambda payload, packed=packed: payload["columns"][0].update(codes=packed), id=f"codes-{name}")
+      for name, packed in {
+          "bad-base64": {"dtype": "|u1", "zlib": "eAFjYGBk!AIAAAwABQ=="},
+          "unpadded-base64": {"dtype": "|u1", "zlib": "eAFjYGBkZAIAAAwABQ"},
+          "non-ascii-base64": {"dtype": "|u1", "zlib": "eAFjYGBkZAIAAAwABQ\u00e9="},
+          "not-zlib": _packed(bytes([0, 0, 1, 1, 2]), "|u1", level=None),
+          "truncated-stream": _packed(bytes([0, 0, 1, 1, 2]), "|u1", cut=2),
+          "trailing-bytes": _packed(bytes([0, 0, 1, 1, 2]), "|u1", tail=b"\0"),
+          "short-stream": _packed(bytes([0, 0, 1, 1]), "|u1"),
+          "zeros-past-the-row-count": _packed(bytes(4096), "|u1"),
+          "big-endian": _packed(np.array([0, 0, 1, 1, 2], ">u2").tobytes(), ">u2"),
+          "signed": _packed(np.array([0, 0, 1, 1, 2], "<i2").tobytes(), "<i2"),
+          "unknown-dtype": _packed(bytes([0, 0, 1, 1, 2]), "uint8"),
+          "float": _packed(np.array([0, 0, 1, 1, 2], "<f8").tobytes(), "<f8"),
+          "past-the-categories": _packed(bytes([0, 0, 1, 1, 3]), "|u1"),
+          "zlib-not-text": {"dtype": "|u1", "zlib": [0, 0, 1, 1, 2]},
+          "no-dtype": {"zlib": "eAFjYGBkZAIAAAwABQ=="},
+      }.items()),
+    *(pytest.param(lambda payload, packed=packed: payload["columns"][1].update(values=packed), id=f"values-{name}")
+      for name, packed in {
+          "nan": _packed(np.array([1.0, 2.0, 3.0, 4.0, np.nan]).tobytes(), "<f8"),
+          "inf": _packed(np.array([1.0, 2.0, 3.0, np.inf, 2.5]).tobytes(), "<f8"),
+          "big-endian": _packed(np.array([1.0, 2.0, 3.0, 4.0, 2.5], ">f8").tobytes(), ">f8"),
+          "single-precision": _packed(np.array([1.0, 2.0, 3.0, 4.0, 2.5], "<f4").tobytes(), "<f4"),
+          "unsigned": _packed(bytes([1, 2, 3, 4, 2]), "|u1"),
+      }.items()),
+    *(pytest.param(lambda payload, packed=packed: payload.update(counts=packed), id=f"packed-counts-{name}")
+      for name, packed in {
+          "float": _packed(np.array([1, 1, 0, 0, 1, 0, 0, 1, 1, 0], "<f8").tobytes(), "<f8"),
+          "of-one-label": _packed(bytes([1, 1, 0, 0, 1]), "|u1"),
+          # Label-major, like the lists: sums of 2^53 + 5, and of 2^64 + 5, which uint64 arithmetic reads as 5.
+          "past-2-to-the-53": _packed(np.array([1, 1, 0, 0, 1, 2**53, 0, 1, 1, 0], "<u8").tobytes(), "<u8"),
+          "wrapping-to-n-entries": _packed(np.array([1, 1, 0, 0, 1, 2**63, 2**63, 1, 1, 0], "<u8").tobytes(),
+                                           "<u8"),
+      }.items()),
     pytest.param(lambda payload: payload["columns"].pop(), id="missing-column"),
     pytest.param(lambda payload: payload["schema"]["attributes"][0].pop("name"), id="unnamed-attribute"),
     pytest.param(lambda payload: payload["kernel"].update(mld=None), id="null-mld"),
@@ -730,6 +781,8 @@ def _valid_documents() -> dict:
         "model-v1": (json.loads((DATA / "model_v1_mixed_density.json").read_text()),
                      ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
         "model-v2": (json.loads((DATA / "model_v2_rasturnat.json").read_text()),
+                     ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
+        "model-v3": (json.loads((DATA / "model_v3_density.json").read_text()),
                      ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
         "schema": (schema_to_dict(table.schema), ["fit", "--train", "{train}", "--predictor", "delanga",
                                                   "--schema", "{path}"]),

@@ -12,6 +12,7 @@ from fieldpred import (
     HarnessError,
     Query,
     Schema,
+    SyntheticSpec,
     TrainingTable,
     bayes_optimal,
     counterexample_spec,
@@ -121,6 +122,24 @@ class TestMakeSpec:
     def test_empty_law_rejected(self, cards, labels):
         with pytest.raises(HarnessError, match="positive integers and labels nonempty"):
             make_spec(cards, labels, 1, conditionals={})
+
+    @pytest.mark.parametrize("seed", [2.5, "abc", None, True], ids=repr)
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        with pytest.raises(HarnessError, match="seed must be an integer"):
+            make_spec([2], ("+", "-"), seed, conditionals={("0",): [1, 0], ("1",): [0, 1]})
+
+    def test_labels_that_are_one_string_are_refused(self):
+        with pytest.raises(HarnessError, match="labels must be a nonempty list or tuple"):
+            make_spec([2], "+-", 1, conditionals={("0",): [1, 0], ("1",): [0, 1]})
+
+    @pytest.mark.parametrize("cards, labels, seed, match", [
+        pytest.param((2.5,), ("A", "B"), 1, "cardinalities must be positive integers", id="fractional-cardinality"),
+        pytest.param((2,), ("A", "B"), "x", "seed must be an integer", id="string-seed"),
+        pytest.param((2,), "AB", 1, "labels must be a nonempty list or tuple", id="string-labels"),
+    ])
+    def test_the_spec_refuses_what_it_used_to_coerce(self, cards, labels, seed, match):
+        with pytest.raises(HarnessError, match=match):
+            SyntheticSpec(cards, labels, seed, np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_conditional_rows_must_sum_to_one(self):
         with pytest.raises(HarnessError, match="sum"):
@@ -409,6 +428,8 @@ class TestRunConvergence:
             run_convergence(spec, [("delanga", None)], [5], 2, 7)
         assert generate_synthetic(spec, np.int64(4), 0).n_entries == 4
         assert make_spec([np.int64(2)], ("+", "-"), 1, conditionals={("0",): [1, 0], ("1",): [0, 1]}).cardinalities == (2,)
+        spec = make_spec([2], ("+", "-"), np.int64(3), conditionals={("0",): [1, 0], ("1",): [0, 1]})
+        assert (type(spec.seed), spec.seed) == (int, 3)
 
 
 class TestReportFiles:

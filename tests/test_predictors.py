@@ -1,7 +1,10 @@
+import base64
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
@@ -36,6 +39,7 @@ from fieldpred.similarity import match_vectors
 
 from .util import (
     ScaledKernel,
+    as_version_3,
     brute_delanga,
     brute_one_nn,
     random_categorical_instance,
@@ -611,8 +615,9 @@ class TestModelFiles:
             load_model(path)
 
     @staticmethod
-    def assert_predicts_like_a_fresh_fit(loaded, *args, density=True):
-        """Entries in CSV order, votes and predictions bit for bit, against
+    def assert_predicts_like_a_fresh_fit(loaded, *args, density=True, canonical=False):
+        """Entries in CSV order (or in canonical order, distinct row then label,
+        for a file of ``counts``), votes and predictions bit for bit, against
         ``fit(mixed_train.csv, *args)`` (by default bridge with density). A
         fresh density is only within DENSITY_REL_TOL of the file's, so the
         bits are compared with a fresh model that takes the file's density."""
@@ -620,8 +625,10 @@ class TestModelFiles:
         if density:
             assert_close_density(loaded.density, fresh.density)
             fresh = FittedModel(fresh.table, "rasturnat", kernel=fresh.kernel, density=loaded.density)
-        assert loaded.table.values == fresh.table.values
-        assert loaded.table.outcomes == fresh.table.outcomes
+        table = fresh.table
+        order = np.lexsort((table._outcomes, table._distinct_of)) if canonical else range(table.n_entries)
+        assert loaded.table.values == tuple(table.values[i] for i in order)
+        assert loaded.table.outcomes == tuple(table.outcomes[i] for i in order)
         assert loaded.table.schema == fresh.table.schema
         assert loaded.votes.tobytes() == fresh.votes.tobytes()
         for color in ("red", "blue", "green", "violet"):
@@ -656,6 +663,19 @@ class TestModelFiles:
         fresh = self.assert_predicts_like_a_fresh_fit(loaded, *args, density=False)
         assert model_to_dict(loaded) == model_to_dict(fresh)
 
+    @pytest.mark.parametrize("name, density", [("counts", False), ("density", True)])
+    def test_version_3_file_predicts_like_a_fresh_fit(self, name, density):
+        # Written by the version 3 writer from mixed_train.csv with
+        # `fit --predictor rasturnat --kernel bridge` (and `--density`).
+        payload = json.loads((DATA / f"model_v3_{name}.json").read_text())
+        assert payload["version"] == 3
+        loaded = load_model(DATA / f"model_v3_{name}.json")
+        fresh = self.assert_predicts_like_a_fresh_fit(loaded, "rasturnat", "bridge", density=density,
+                                                      canonical=not density)
+        # Version 4 packs the same arrays: listed again, they are the version 3 file.
+        assert model_to_dict(loaded) == model_to_dict(fresh)
+        assert as_version_3(model_to_dict(loaded)) == payload
+
     @staticmethod
     def add_spare_row(payload):
         """A spare row ahead of the others, holding the extremes of each column."""
@@ -666,7 +686,7 @@ class TestModelFiles:
 
     def test_version_2_rows_no_entry_holds_are_dropped(self):
         model = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
-        payload = model_to_dict(model)
+        payload = as_version_3(model_to_dict(model))
         payload["version"] = 2
         self.add_spare_row(payload)
         payload["entry_row"] = [u + 1 for u in payload["entry_row"]]
@@ -676,18 +696,51 @@ class TestModelFiles:
 
     def test_rows_with_no_counts_are_dropped(self):
         model = fit(load_table(DATA / "mixed_train.csv"), "delanga")
-        payload = model_to_dict(model)
+        payload = as_version_3(model_to_dict(model))
         self.add_spare_row(payload)
         for row in payload["counts"]:
             row.insert(0, 0)
         assert model_to_dict(model_from_dict(payload)) == model_to_dict(model)
 
-    def test_writes_version_3_without_indentation(self, tmp_path):
+    def test_writes_version_4_without_indentation(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(fit(load_table(DATA / "mixed_train.csv"), "delanga"), path)
         text = path.read_text()
-        assert json.loads(text)["version"] == 3
+        payload = json.loads(text)
+        assert payload["version"] == 4
         assert text.count("\n") == 1
+        assert [column.get("codes", column.get("values"))["dtype"] for column in payload["columns"]] == [
+            "|u1", "<f8", "|u1"]
+        assert payload["counts"]["dtype"] == "|u1"
+
+    def test_packs_integers_in_the_smallest_unsigned_dtype(self):
+        # 257 categories need two bytes per code; 70,000 copies of one row four bytes per count.
+        schema = Schema((AttributeSpec("a", "categorical", categories=tuple(map(str, range(257)))),), ("A", "B"))
+        table = TrainingTable(schema, [("0",)] * 70_000 + [("256",)], [0] * 70_001)
+        for density, dtypes in ((False, ["<u2", "<u4"]), (True, ["<u2", "|u1", "|u1"])):
+            payload = model_to_dict(fit(table, "rasturnat", "bridge", density=density))
+            arrays = [payload["columns"][0]["codes"]] + [payload[key] for key in ("counts", "entry_row", "outcomes")
+                                                          if key in payload]
+            assert [array["dtype"] for array in arrays] == dtypes
+            assert model_to_dict(model_from_dict(payload)) == payload
+
+    @pytest.mark.parametrize("n_rows, zeros", [(7, 2**26), (2**40, 2**12)])
+    def test_a_packed_stream_inflates_no_further_than_its_shape(self, n_rows, zeros):
+        # 64 MiB of zeros in about 64 KB of zlib: codes for 7 rows stop after 7 bytes.
+        # A claim of 2^40 rows inflates only what the stream holds, and the short
+        # column refuses it before anything of that length (entry_row's bincount) exists.
+        payload = model_to_dict(fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True))
+        payload["n_rows"] = n_rows
+        stream = base64.b64encode(zlib.compress(bytes(zeros))).decode()
+        payload["columns"][0]["codes"] = {"dtype": "|u1", "zlib": stream}
+        tracemalloc.start()
+        try:
+            with pytest.raises(PredictorError, match=f"one zlib stream of {n_rows} bytes"):
+                model_from_dict(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def prediction_bits(p) -> tuple:
@@ -714,12 +767,15 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
         save_model(loaded, path)
         assert path.read_text() == text
         reloaded = load_model(path)
+    # The same document with its arrays listed as version 3 loads to the same model.
+    assert json.loads(text)["version"] == 4
+    listed = model_from_dict(as_version_3(json.loads(text)))
     # A density keeps the entry order; otherwise the entries come back in
     # canonical order: distinct row, then label.
     order = np.lexsort((table._outcomes, table._distinct_of))
     if model.density is not None:
         order = np.arange(table.n_entries)
-    for got in (loaded, reloaded):
+    for got in (loaded, reloaded, listed):
         assert got.table.values == tuple(table.values[i] for i in order)
         assert got.table.outcomes == tuple(table.outcomes[i] for i in order)
         assert got.table.schema == table.schema
@@ -732,6 +788,7 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
         assert (loaded.density.sts, loaded.density.stavg) == (model.density.sts, model.density.stavg)
     for query in queries:
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(loaded, query))
+        assert prediction_bits(predict(model, query)) == prediction_bits(predict(listed, query))
 
 
 LABEL_MODELS = {k: FittedModel(TrainingTable(Schema((AttributeSpec("a", "categorical"),), tuple("ABCDEFGHIJKL"[:k])),

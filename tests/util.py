@@ -7,9 +7,11 @@ something that cannot share its bugs.
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import math
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -496,6 +498,25 @@ def expected_tos_rates(
         d = sum(1 for a, b in zip(q, t) if a != b)
         rates += spec.probs[i] * spec.conditionals[i] * weight_by_distance[d]
     return rates
+
+
+def as_version_3(payload: dict) -> dict:
+    """A version 4 model document rewritten in place as version 3: every packed
+    array (``{"dtype": ..., "zlib": ...}``) becomes the JSON list of its values,
+    and ``counts`` K lists of U."""
+    def listed(packed: dict, *shape: int) -> list:
+        raw = zlib.decompress(base64.b64decode(packed["zlib"]))
+        return np.frombuffer(raw, packed["dtype"]).reshape(shape or (-1,)).tolist()
+    for column in payload["columns"]:
+        key = "values" if "values" in column else "codes"
+        column[key] = listed(column[key])
+    for key in ("entry_row", "outcomes"):
+        if key in payload:
+            payload[key] = listed(payload[key])
+    if "counts" in payload:
+        payload["counts"] = listed(payload["counts"], len(payload["schema"]["outcome_labels"]), -1)
+    payload["version"] = 3
+    return payload
 
 
 def as_version_2(payload: dict) -> dict:
