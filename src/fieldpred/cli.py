@@ -227,6 +227,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with "-" for an option: "--query -1.5,a" is one query.
+    for i in reversed([i for i, arg in enumerate(argv[:-1]) if arg == "--query"]):
+        argv[i:i + 2] = [f"--query={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
         # The predictors check their own results for overflow and raise

@@ -223,7 +223,8 @@ class TrainingTable:
         self._distinct_entry = np.empty(u, dtype=np.intp)
         self._distinct_entry[self._distinct_of] = np.arange(m)
         picked = entry_row[self._distinct_entry]
-        self._col_data = [np.asarray(data, dtype=np.float64)[picked] for data in columns]
+        # Adding +0.0 stores -0.0 as +0.0, so a row's cells do not depend on which of its entries came last.
+        self._col_data = [np.asarray(data, dtype=np.float64)[picked] + 0.0 for data in columns]
         # Each entry's flat (distinct row, outcome) cell of the U x K count matrix.
         self._vote_cell = self._distinct_of * k + outcomes
         self._label_counts = np.bincount(self._vote_cell, minlength=u * k).reshape(u, k).astype(np.float64)

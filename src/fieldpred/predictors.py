@@ -45,10 +45,10 @@ PREDICTOR_KINDS = ("delanga", "rasturnat", "nearest")
 #: leading score are treated as exactly tied.
 REL_TIE_TOL = 1e-12
 
-MODEL_FILE_VERSION = 4
+MODEL_FILE_VERSION = 5
 
-#: Version 4's packed dtypes (the kind is the second character): values, then codes and counts.
-_PACKED_DTYPES = ("<f8", "|u1", "<u2", "<u4", "<u8")
+#: Packed dtypes (the kind is the second character): values, scaled values, then codes and counts.
+_PACKED_DTYPES = ("<f8", "|i1", "<i2", "<i4", "<i8", "|u1", "<u2", "<u4", "<u8")
 
 #: Cells a density-fit block scores at once: B rows against all U rows.
 _DENSITY_BLOCK_CELLS = 1 << 14
@@ -287,15 +287,25 @@ def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
 
 
 def _packed(arr: np.ndarray, dtype: str | None = None) -> dict:
-    """Version 4's form of a numeric array: its little-endian bytes as ``dtype``
+    """The packed form of a numeric array: its little-endian bytes as ``dtype``
     (by default the smallest unsigned one that holds its maximum), compressed at
-    zlib level 1, in base64."""
+    zlib level 1, in base64. A ``<f8`` array is written as exact decimals where it
+    can be: for the smallest p in 0..22 (the powers of ten binary64 holds exactly)
+    for which every k = rint(x * 10^p) lies below 2^53 in magnitude and k / 10^p
+    gives back x bit for bit, as k in the smallest signed dtype, with ``"scale": p``."""
+    with np.errstate(over="ignore"):
+        for p in range(23 if dtype == "<f8" else 0):
+            k = np.rint(arr * 10.0**p)
+            if (np.abs(k) < 2**53).all() and np.array_equal((k.astype(np.int64) / 10.0**p).view(np.uint64),
+                                                            arr.view(np.uint64)):
+                # A signed dtype holds k.min() and k.max() when it holds k.min() and -1 - k.max().
+                return {**_packed(k, np.min_scalar_type(min(int(k.min()), -1 - int(k.max())))), "scale": p}
     dtype = np.dtype(dtype or np.min_scalar_type(int(arr.max()))).newbyteorder("<")
     return {"dtype": dtype.str, "zlib": base64.b64encode(zlib.compress(arr.astype(dtype).tobytes(), 1)).decode()}
 
 
 def model_to_dict(model: FittedModel) -> dict:
-    """Version 4: the U distinct rows column by column and ``counts``, the K x U label
+    """Version 5: the U distinct rows column by column and ``counts``, the K x U label
     counts; with a density, per entry its distinct row and outcome instead, so that
     the per-entry tss and dcf keep their order. Each of these arrays is ``_packed``."""
     table = model.table
@@ -329,11 +339,16 @@ def model_to_dict(model: FittedModel) -> dict:
 def _array(value, kinds: str, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A JSON list, nested to ``shape``, of numbers (not booleans), or a packed
     array (``_packed``) inflated no further than ``shape`` needs, as an array of
-    numpy kinds ``kinds``."""
+    numpy kinds ``kinds``. Reals pack as ``<f8`` or, with a scale, as signed
+    integers; integers as unsigned ones."""
     if isinstance(value, dict):
-        dtype, text, allowed = value.get("dtype"), value.get("zlib"), [t for t in _PACKED_DTYPES if t[1] in kinds]
-        if not (dtype in allowed and isinstance(text, str)):
-            raise PredictorError(f"model file: {what} must pack base64 text as one of the dtypes {allowed}")
+        dtype, text, scale = value.get("dtype"), value.get("zlib"), value.get("scale", 0)
+        kind = "u" if "f" not in kinds else "i" if "scale" in value else "f"
+        allowed = [t for t in _PACKED_DTYPES if t[1] == kind]
+        if not (dtype in allowed and isinstance(text, str) and _is_int(scale) and 0 <= scale <= 22
+                and ("scale" in value) <= (kind == "i")):
+            raise PredictorError(f"model file: {what} must pack base64 text as one of the dtypes {allowed}, "
+                                 "and a scale from 0 to 22 only with signed ones")
         size, inflate = math.prod(shape) * np.dtype(dtype).itemsize, zlib.decompressobj()
         try:
             raw = inflate.decompress(base64.b64decode(text, validate=True), size)
@@ -341,7 +356,8 @@ def _array(value, kinds: str, shape: tuple[int, ...], what: str) -> np.ndarray:
             raw = b""
         if len(raw) != size or not inflate.eof or inflate.unused_data:
             raise PredictorError(f"model file: {what} must pack one zlib stream of {size} bytes")
-        return np.frombuffer(raw, dtype).reshape(shape)
+        arr = np.frombuffer(raw, dtype).reshape(shape)
+        return arr if kind != "i" else arr / 10.0**scale
     try:
         arr = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
@@ -417,16 +433,19 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
     return TrainingTable._from_columns(schema, [data[named] for data in coded], vocabs, entry_row, outcomes)
 
 
-def _density_from_dict(payload, m: int) -> DensityModel:
+def _density_from_dict(payload, table: TrainingTable) -> DensityModel:
     if not isinstance(payload, dict) or not (_is_finite_real(payload["sts"]) and _is_finite_real(payload["stavg"])):
         raise PredictorError("model file: density needs tss, dcf, and finite sts and stavg")
+    m = table.n_entries
     density = DensityModel(
         tss=_real_array(payload["tss"], m, "density tss"),
         sts=float(payload["sts"]),
         stavg=float(payload["stavg"]),
         dcf=_real_array(payload["dcf"], m, "density dcf"),
     )
-    # The fit's own expressions, bit for bit (see compute_density_model).
+    # One tss per distinct row, and the fit's own expressions, bit for bit (see compute_density_model).
+    if not np.array_equal(density.tss[table._distinct_entry][table._distinct_of], density.tss):
+        raise PredictorError("model file: density tss differs between entries of one distinct row")
     with np.errstate(over="ignore"):
         dcf = density.sts / (m * density.tss)
     if not (density.sts == math.fsum(density.tss.tolist()) and density.stavg == density.sts / m
@@ -438,9 +457,9 @@ def _density_from_dict(payload, m: int) -> DensityModel:
 def model_from_dict(payload: dict) -> FittedModel:
     """Check a model document in one pass and rebuild the fitted model.
 
-    Version 4 files are written by ``model_to_dict``. Versions 3 (the same
-    arrays as JSON lists), 2 (always per-entry rows and outcomes) and 1 (every
-    entry's cells) still load. The ``trace`` key of older files is ignored.
+    Version 5 files are written by ``model_to_dict``. Versions 4 (columns as
+    ``<f8``), 3 (arrays as JSON lists), 2 (always per-entry rows and outcomes) and
+    1 (every entry's cells) still load. The ``trace`` key of older files is ignored.
     """
     if not isinstance(payload, dict):
         raise PredictorError("model document must be a JSON object")
@@ -456,7 +475,7 @@ def model_from_dict(payload: dict) -> FittedModel:
             kernel = kernel_from_dict(payload["kernel"])
         density = None
         if payload.get("density") is not None:
-            density = _density_from_dict(payload["density"], table.n_entries)
+            density = _density_from_dict(payload["density"], table)
     except KeyError as exc:
         raise PredictorError(f"model file lacks the required key {exc}") from None
     if predictor not in PREDICTOR_KINDS or (predictor == "rasturnat") != (kernel is not None):

@@ -21,7 +21,7 @@ from fieldpred.dataset import load_table, schema_to_dict
 from fieldpred.harness import all_tuples, spec_to_dict
 from fieldpred.predictors import model_to_dict
 
-from .util import as_version_2, as_version_3
+from .util import as_version_2, as_version_3, unpacked
 
 DATA = Path(__file__).parent / "data"
 
@@ -146,24 +146,24 @@ def _spliced_chain(depth: int) -> dict:
 
 
 def _packed(data: bytes, dtype: str, level: int | None = 1, cut: int = 0, tail: bytes = b"") -> dict:
-    """A version 4 packed array of ``data`` (raw when ``level`` is None), its
+    """A packed array of ``data`` (raw when ``level`` is None), its
     stream cut short by ``cut`` bytes or followed by ``tail``."""
     stream = data if level is None else zlib.compress(data, level)
     return {"dtype": dtype, "zlib": base64.b64encode(stream[:len(stream) - cut] + tail).decode()}
 
 
 def _v3(corrupt):
-    """``corrupt`` applied to the version 3 form (JSON lists) of a version 4 document."""
+    """``corrupt`` applied to the version 3 form (JSON lists) of a version 5 document."""
     return lambda payload: corrupt(as_version_3(payload))
 
 
 def _v2(corrupt):
-    """``corrupt`` applied to the version 2 form of a version 4 counts document."""
+    """``corrupt`` applied to the version 2 form of a version 5 counts document."""
     return lambda payload: corrupt(as_version_2(as_version_3(payload)))
 
 
 def _with_density(corrupt):
-    """``corrupt`` applied, in place, to a version 4 document of the same
+    """``corrupt`` applied, in place, to a version 5 document of the same
     table fitted with a density, which lists entry_row and outcomes."""
     def apply(payload):
         payload.clear()
@@ -213,7 +213,7 @@ def _with_density(corrupt):
     pytest.param(_v3(lambda payload: payload["columns"][1]["values"].pop()), id="short-column"),
     pytest.param(_v3(lambda payload: payload["columns"][1]["values"].__setitem__(0, True)), id="bool-cell"),
     pytest.param(lambda payload: payload.update(version=3.0), id="float-version"),
-    # Version 4 packs the codes [0, 0, 1, 1, 2], the sizes [1.0, 2.0, 3.0, 4.0, 2.5] and the counts.
+    # Packed: the codes [0, 0, 1, 1, 2], the sizes [1.0, 2.0, 3.0, 4.0, 2.5] (as <f8, or scaled) and the counts.
     *(pytest.param(lambda payload, packed=packed: payload["columns"][0].update(codes=packed), id=f"codes-{name}")
       for name, packed in {
           "bad-base64": {"dtype": "|u1", "zlib": "eAFjYGBk!AIAAAwABQ=="},
@@ -239,7 +239,23 @@ def _with_density(corrupt):
           "big-endian": _packed(np.array([1.0, 2.0, 3.0, 4.0, 2.5], ">f8").tobytes(), ">f8"),
           "single-precision": _packed(np.array([1.0, 2.0, 3.0, 4.0, 2.5], "<f4").tobytes(), "<f4"),
           "unsigned": _packed(bytes([1, 2, 3, 4, 2]), "|u1"),
+          "signed-without-a-scale": _packed(bytes([10, 20, 30, 40, 25]), "|i1"),
+          # Scaled, the sizes are the tenths [10, 20, 30, 40, 25].
+          **{f"scale-{name}": {**_packed(bytes([10, 20, 30, 40, 25]), "|i1"), "scale": scale}
+             for name, scale in {"past-22": 23, "negative": -1, "bool": True, "float": 1.0, "null": None,
+                                 "string": "1"}.items()},
+          "scale-on-f8": {**_packed(np.array([1.0, 2.0, 3.0, 4.0, 2.5]).tobytes(), "<f8"), "scale": 0},
+          "scale-on-unsigned": {**_packed(bytes([10, 20, 30, 40, 25]), "|u1"), "scale": 1},
+          "scaled-big-endian": {**_packed(np.array([10, 20, 30, 40, 25], ">i2").tobytes(), ">i2"), "scale": 1},
+          "scaled-short-stream": {**_packed(bytes([10, 20, 30, 40]), "|i1"), "scale": 1},
+          "scaled-trailing-bytes": {**_packed(bytes([10, 20, 30, 40, 25]), "|i1", tail=b"\0"), "scale": 1},
       }.items()),
+    pytest.param(lambda payload: payload["columns"][0]["codes"].update(scale=0), id="codes-scaled"),
+    pytest.param(lambda payload: payload.update(counts=_packed(np.array([1, 1, 0, 0, 1, 0, 0, 1, 1, 0], "<i2")
+                                                               .tobytes(), "<i2")), id="packed-counts-signed"),
+    *(pytest.param(_with_density(lambda payload, key=key: payload.update(
+        {key: _packed(unpacked(payload[key]).astype("|i1").tobytes(), "|i1")})), id=f"signed-{key}")
+      for key in ("entry_row", "outcomes")),
     *(pytest.param(lambda payload, packed=packed: payload.update(counts=packed), id=f"packed-counts-{name}")
       for name, packed in {
           "float": _packed(np.array([1, 1, 0, 0, 1, 0, 0, 1, 1, 0], "<f8").tobytes(), "<f8"),
@@ -580,6 +596,19 @@ class TestPredict:
         captured = capsys.readouterr()
         assert code == 1
         assert "line 2" in captured.err
+
+    def test_a_query_may_start_with_a_negative_number(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("x,c,label\n-1.5,a,A\n2.0,b,B\n")
+        model = str(tmp_path / "model.json")
+        assert main(["fit", "--train", str(train), "--predictor", "delanga", "--out", model]) == 0
+        capsys.readouterr()
+        for query in (["--query", "-1.5,a"], ["--query=-1.5,a"]):
+            assert main(["predict", "--model", model, *query, "--query", "-.5,b"]) == 0
+            assert capsys.readouterr().out == "winner=A A=1.000000 B=0.000000\nwinner=B A=0.000000 B=1.000000\n"
+        # A --query with nothing after it still lacks its argument.
+        assert main(["predict", "--model", model, "--query"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_requires_some_query(self, model_file, capsys):
         capsys.readouterr()

@@ -16,12 +16,14 @@ from fieldpred import (
     Query,
     Schema,
     TrainingTable,
+    fit,
     load_table,
     validate_query,
 )
 from fieldpred import dataset
 from fieldpred.cli import main
 from fieldpred.dataset import schema_from_dict, schema_to_dict
+from fieldpred.predictors import model_to_dict
 
 from .util import csv_reference_load_table, serialize_table
 
@@ -293,6 +295,18 @@ def test_each_distinct_row_keeps_its_last_entry():
         assert table._distinct_of.tolist() == [1, 2, 1, 2, 0, 0]
         assert table._distinct_entry.tolist() == [5, 2, 3]
         assert table._col_data[1].tolist() == [0.0, 1.0, 2.0] and not np.signbit(table._col_data[1][0])
+
+
+def test_a_row_of_negative_zero_holds_positive_zero_in_either_order():
+    # "-0.0" and "0.0" are one row; it holds +0.0 whichever entry came last, so both
+    # orders write the same column to a model file.
+    texts = (b"x,c,label\n-0.0,a,A\n0.0,a,B\n", b"x,c,label\n0.0,a,B\n-0.0,a,A\n")
+    tables = [load(text.decode() if load is csv_reference_load_table else text)
+              for text in texts for load in (load_table, csv_reference_load_table)]
+    for table in tables:
+        assert table._col_data[0].tolist() == [0.0] and not np.signbit(table._col_data[0]).any()
+    columns = [model_to_dict(fit(table, "delanga"))["columns"] for table in tables]
+    assert all(column == columns[0] for column in columns)
 
 
 def test_total_weight_matches_full_match_accumulation():

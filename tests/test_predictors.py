@@ -34,12 +34,14 @@ from fieldpred import (
     save_model,
 )
 from fieldpred import predictors
+from fieldpred.cli import main
 from fieldpred.predictors import model_from_dict, model_to_dict
 from fieldpred.similarity import match_vectors
 
 from .util import (
     ScaledKernel,
     as_version_3,
+    as_version_4,
     brute_delanga,
     brute_one_nn,
     random_categorical_instance,
@@ -672,9 +674,40 @@ class TestModelFiles:
         loaded = load_model(DATA / f"model_v3_{name}.json")
         fresh = self.assert_predicts_like_a_fresh_fit(loaded, "rasturnat", "bridge", density=density,
                                                       canonical=not density)
-        # Version 4 packs the same arrays: listed again, they are the version 3 file.
+        # Packed, then listed again, the arrays are the version 3 file.
         assert model_to_dict(loaded) == model_to_dict(fresh)
         assert as_version_3(model_to_dict(loaded)) == payload
+
+    @pytest.mark.parametrize("name, density", [("counts", False), ("density", True)])
+    def test_version_4_file_predicts_like_a_fresh_fit(self, name, density):
+        # Written by the version 4 writer from mixed_train.csv with
+        # `fit --predictor rasturnat --kernel bridge` (and `--density`).
+        payload = json.loads((DATA / f"model_v4_{name}.json").read_text())
+        assert payload["version"] == 4
+        loaded = load_model(DATA / f"model_v4_{name}.json")
+        fresh = self.assert_predicts_like_a_fresh_fit(loaded, "rasturnat", "bridge", density=density,
+                                                      canonical=not density)
+        # Saved again it is version 5, with the sizes scaled; as <f8 again it holds the file's arrays.
+        saved = model_to_dict(loaded)
+        assert saved == model_to_dict(fresh)
+        assert (saved["version"], saved["columns"][1]["values"]["scale"]) == (5, 2)
+        assert as_version_3(as_version_4(saved)) == as_version_3(payload)
+
+    def test_a_density_whose_tss_differs_within_one_row_is_refused(self, tmp_path):
+        # Entries 0 and 5 of mixed_train.csv hold one row (red, 1.5, round). sts, stavg and
+        # dcf are the fit's own expressions of the changed tss, so only the row check refuses it.
+        payload = model_to_dict(fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True))
+        density, m = payload["density"], payload["n_entries"]
+        tss = np.array(density["tss"])
+        assert tss[0] == tss[5]
+        tss[5] = np.nextafter(tss[5], np.inf)
+        sts = math.fsum(tss.tolist())
+        density.update(tss=tss.tolist(), sts=sts, stavg=sts / m, dcf=(sts / (m * tss)).tolist())
+        with pytest.raises(PredictorError, match="tss differs between entries of one distinct row"):
+            model_from_dict(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(path), "--query", "red,1.5,round"]) == 1
 
     @staticmethod
     def add_spare_row(payload):
@@ -702,15 +735,17 @@ class TestModelFiles:
             row.insert(0, 0)
         assert model_to_dict(model_from_dict(payload)) == model_to_dict(model)
 
-    def test_writes_version_4_without_indentation(self, tmp_path):
+    def test_writes_version_5_without_indentation(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(fit(load_table(DATA / "mixed_train.csv"), "delanga"), path)
         text = path.read_text()
         payload = json.loads(text)
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         assert text.count("\n") == 1
+        # The sizes 0.75 to 4.25 are hundredths from 75 to 425.
         assert [column.get("codes", column.get("values"))["dtype"] for column in payload["columns"]] == [
-            "|u1", "<f8", "|u1"]
+            "|u1", "<i2", "|u1"]
+        assert payload["columns"][1]["values"]["scale"] == 2
         assert payload["counts"]["dtype"] == "|u1"
 
     def test_packs_integers_in_the_smallest_unsigned_dtype(self):
@@ -767,15 +802,16 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
         save_model(loaded, path)
         assert path.read_text() == text
         reloaded = load_model(path)
-    # The same document with its arrays listed as version 3 loads to the same model.
-    assert json.loads(text)["version"] == 4
+    # The same document with its columns as <f8 (version 4), or its arrays listed as version 3, loads to the same model.
+    assert json.loads(text)["version"] == 5
+    unscaled = model_from_dict(as_version_4(json.loads(text)))
     listed = model_from_dict(as_version_3(json.loads(text)))
     # A density keeps the entry order; otherwise the entries come back in
     # canonical order: distinct row, then label.
     order = np.lexsort((table._outcomes, table._distinct_of))
     if model.density is not None:
         order = np.arange(table.n_entries)
-    for got in (loaded, reloaded, listed):
+    for got in (loaded, reloaded, unscaled, listed):
         assert got.table.values == tuple(table.values[i] for i in order)
         assert got.table.outcomes == tuple(table.outcomes[i] for i in order)
         assert got.table.schema == table.schema
@@ -789,6 +825,55 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
     for query in queries:
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(loaded, query))
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(listed, query))
+        assert prediction_bits(predict(model, query)) == prediction_bits(predict(unscaled, query))
+
+
+def reference_scale(values: list[float]) -> tuple[int, list[int]] | None:
+    """The scale rule in Python floats and integers: the smallest p in 0..22 for which every
+    k = round(x * 10.0**p) lies below 2^53 in magnitude and the correctly rounded k / 10^p has
+    the bits of x, with the ks; None when no p does."""
+    for p in range(23):
+        ks = [round(x * 10.0**p) if math.isfinite(x * 10.0**p) else 2**53 for x in values]
+        if all(abs(k) < 2**53 and np.float64(k / 10**p).tobytes() == np.float64(x).tobytes()
+               for k, x in zip(ks, values)):
+            return p, ks
+    return None
+
+
+#: Decimals of 0 to 22 places, short and long, and doubles with no short decimal form.
+DECIMALS = st.builds(lambda k, p: k / 10**p, st.integers(-(10**7), 10**7) | st.integers(-(2**53) + 1, 2**53 - 1),
+                     st.integers(0, 22))
+AWKWARD = (st.floats(allow_nan=False, allow_infinity=False) | st.floats(-2.2e-308, 2.2e-308)
+           | st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 0.1 + 0.2])
+           | st.integers(2**53, 2**70).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DECIMALS, min_size=1, max_size=12) | st.lists(DECIMALS | AWKWARD, min_size=1, max_size=12))
+@example([-0.0, 1.0])
+@example([0.1 + 0.2])
+@example([1e22, 1e-22])
+@example([1e-22, 1.5e-21])
+@example([float(2**53)])
+def test_a_column_is_scaled_exactly_when_a_decimal_form_exists(values):
+    column = np.array(values)
+    packed = predictors._packed(column, "<f8")
+    decoded = predictors._real_array(json.loads(json.dumps(packed)), column.size, "column")
+    assert decoded.tobytes() == column.tobytes()
+    want = reference_scale(values)
+    if want is None:
+        assert packed["dtype"] == "<f8" and "scale" not in packed
+    else:
+        ks = want[1]
+        dtype = next(t for t in ("|i1", "<i2", "<i4", "<i8") if np.iinfo(t).min <= min(ks) and max(ks) <= np.iinfo(t).max)
+        assert (packed["scale"], packed["dtype"]) == (want[0], dtype)
+    # Through a table, whose distinct rows hold +0.0 for -0.0, and a model file (a table's range must be finite).
+    if not math.isfinite(max(values) - min(values)):
+        return
+    schema = Schema((AttributeSpec("x", "continuous"),), ("A",))
+    table = TrainingTable(schema, [(v,) for v in values], [0] * len(values))
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fit(table, "delanga")))))
+    assert loaded.table._col_data[0].tobytes() == table._col_data[0].tobytes()
 
 
 LABEL_MODELS = {k: FittedModel(TrainingTable(Schema((AttributeSpec("a", "categorical"),), tuple("ABCDEFGHIJKL"[:k])),

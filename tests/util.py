@@ -500,13 +500,31 @@ def expected_tos_rates(
     return rates
 
 
+def unpacked(packed: dict) -> np.ndarray:
+    """The array a packed object (``{"dtype": ..., "zlib": ...}``, and ``"scale": p``
+    for a scaled column) holds, decoded in plain numpy: a scaled column's integers
+    divided by 10^p."""
+    arr = np.frombuffer(zlib.decompress(base64.b64decode(packed["zlib"])), packed["dtype"])
+    return arr / 10.0 ** packed["scale"] if "scale" in packed else arr
+
+
+def as_version_4(payload: dict) -> dict:
+    """A version 5 model document rewritten in place as version 4: every scaled
+    column is packed again as the ``<f8`` bytes of its values."""
+    for column in payload["columns"]:
+        if "scale" in column.get("values", {}):
+            raw = zlib.compress(unpacked(column["values"]).astype("<f8").tobytes(), 1)
+            column["values"] = {"dtype": "<f8", "zlib": base64.b64encode(raw).decode()}
+    payload["version"] = 4
+    return payload
+
+
 def as_version_3(payload: dict) -> dict:
-    """A version 4 model document rewritten in place as version 3: every packed
-    array (``{"dtype": ..., "zlib": ...}``) becomes the JSON list of its values,
+    """A version 4 or 5 model document rewritten in place as version 3: every
+    packed array becomes the JSON list of its values (a scaled column's floats),
     and ``counts`` K lists of U."""
     def listed(packed: dict, *shape: int) -> list:
-        raw = zlib.decompress(base64.b64decode(packed["zlib"]))
-        return np.frombuffer(raw, packed["dtype"]).reshape(shape or (-1,)).tolist()
+        return unpacked(packed).reshape(shape or (-1,)).tolist()
     for column in payload["columns"]:
         key = "values" if "values" in column else "codes"
         column[key] = listed(column[key])
