@@ -265,11 +265,8 @@ def kernel_to_dict(kernel: Kernel) -> dict:
 
 
 def kernel_from_dict(payload: dict) -> Kernel:
-    """Rebuild a kernel from its descriptor. No refit: the stored mld is final.
-
-    Other keys are ignored: older files carry ``adrez``, which is derived
-    from mld, and a constant factor that never changes a winner or a
-    likelihood.
+    """Rebuild a kernel from its descriptor. No refit: the stored mld is final,
+    and a residue kernel's ``adrez`` is derived from it. Other keys are ignored.
     """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise KernelError("kernel descriptor must be an object with a 'kind'")

@@ -27,7 +27,6 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -337,10 +336,10 @@ def model_to_dict(model: FittedModel) -> dict:
 
 
 def _array(value, kinds: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A JSON list, nested to ``shape``, of numbers (not booleans), or a packed
-    array (``_packed``) inflated no further than ``shape`` needs, as an array of
-    numpy kinds ``kinds``. Reals pack as ``<f8`` or, with a scale, as signed
-    integers; integers as unsigned ones."""
+    """A packed array (``_packed``) inflated no further than ``shape`` needs, as an array
+    of numpy kinds ``kinds``: reals pack as ``<f8`` or, with a scale, as signed integers;
+    integers as unsigned ones. Reals may also be a JSON list of numbers (not booleans),
+    as the density's tss and dcf are."""
     if isinstance(value, dict):
         dtype, text, scale = value.get("dtype"), value.get("zlib"), value.get("scale", 0)
         kind = "u" if "f" not in kinds else "i" if "scale" in value else "f"
@@ -351,27 +350,28 @@ def _array(value, kinds: str, shape: tuple[int, ...], what: str) -> np.ndarray:
                                  "and a scale from 0 to 22 only with signed ones")
         size, inflate = math.prod(shape) * np.dtype(dtype).itemsize, zlib.decompressobj()
         try:
-            raw = inflate.decompress(base64.b64decode(text, validate=True), size)
-        except (ValueError, OverflowError, zlib.error):
+            stream = base64.b64decode(text, validate=True)
+            # Deflate emits at most 258 bytes per 2-bit length/distance pair: 1032 per stream byte.
+            raw = inflate.decompress(stream, size) if size <= 1032 * len(stream) else b""
+        except (ValueError, zlib.error):
             raw = b""
         if len(raw) != size or not inflate.eof or inflate.unused_data:
             raise PredictorError(f"model file: {what} must pack one zlib stream of {size} bytes")
         arr = np.frombuffer(raw, dtype).reshape(shape)
         return arr if kind != "i" else arr / 10.0**scale
     try:
-        arr = np.asarray(value) if isinstance(value, list) else None
+        arr = np.asarray(value) if isinstance(value, list) and "f" in kinds else None
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in kinds or arr.shape != shape or (
-            bool in set(map(type, chain.from_iterable(value) if len(shape) > 1 else value))):
-        noun = "numbers" if "f" in kinds else "integers"
-        raise PredictorError(f"model file: {what} must list {' lists of '.join(map(str, shape))} {noun}")
+    if arr is None or arr.dtype.kind not in kinds or arr.shape != shape or bool in set(map(type, value)):
+        listed = f", or a list of {shape[0]} numbers" if "f" in kinds else ""
+        raise PredictorError(f"model file: {what} must be a packed array{listed}")
     return arr
 
 
 def _index_array(value, size: int, bound: int, what: str) -> np.ndarray:
-    arr = _array(value, "iu", (size,), what)
-    if arr.min() < 0 or arr.max() >= bound:
+    arr = _array(value, "u", (size,), what)
+    if arr.max() >= bound:
         raise PredictorError(f"model file: {what} must lie in 0..{bound - 1}")
     return arr.astype(np.intp)
 
@@ -383,15 +383,7 @@ def _real_array(value, size: int, what: str) -> np.ndarray:
     return arr
 
 
-def _table_v1(payload: dict, schema: Schema) -> TrainingTable:
-    """Version 1 held every entry's typed cells; the row constructor checks them."""
-    values, outcomes = payload["values"], payload["outcomes"]
-    if not (isinstance(values, list) and all(isinstance(row, list) for row in values) and isinstance(outcomes, list)):
-        raise PredictorError("model file: values must be a list of rows and outcomes a list")
-    return TrainingTable(schema, values, outcomes)
-
-
-def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
+def _table(payload: dict, schema: Schema) -> TrainingTable:
     m, u, columns = payload["n_entries"], payload["n_rows"], payload["columns"]
     # Votes count exactly in float64 below 2^53, and numpy's entry total cannot wrap.
     if not all(_is_int(n) and 1 <= n < 2**53 for n in (m, u)):
@@ -416,9 +408,9 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
         coded.append(data)
     k = len(schema.outcome_labels)
     if "counts" in payload:  # entries in canonical order: distinct row, then label
-        counts = _array(payload["counts"], "iu", (k, u), "counts")
-        if counts.min() < 0 or sum(counts.ravel().tolist()) != m:
-            raise PredictorError(f"model file: counts must be integers >= 0 that sum to n_entries ({m})")
+        counts = _array(payload["counts"], "u", (k, u), "counts")
+        if sum(counts.ravel().tolist()) != m:
+            raise PredictorError(f"model file: counts must sum to n_entries ({m})")
         try:
             cells = np.repeat(np.arange(u * k), counts.T.ravel().astype(np.intp))
         except MemoryError:
@@ -427,10 +419,9 @@ def _table_v2(payload: dict, schema: Schema) -> TrainingTable:
     else:
         entry_row = _index_array(payload["entry_row"], m, u, "entry_row")
         outcomes = _index_array(payload["outcomes"], m, k, "outcomes")
-    # Rows no entry holds are dropped; the others keep their order.
-    named = np.bincount(entry_row, minlength=u) > 0
-    entry_row = (np.cumsum(named) - 1)[entry_row]
-    return TrainingTable._from_columns(schema, [data[named] for data in coded], vocabs, entry_row, outcomes)
+    if not np.bincount(entry_row, minlength=u).all():
+        raise PredictorError("model file: every distinct row must hold an entry")
+    return TrainingTable._from_columns(schema, coded, vocabs, entry_row, outcomes)
 
 
 def _density_from_dict(payload, table: TrainingTable) -> DensityModel:
@@ -457,18 +448,20 @@ def _density_from_dict(payload, table: TrainingTable) -> DensityModel:
 def model_from_dict(payload: dict) -> FittedModel:
     """Check a model document in one pass and rebuild the fitted model.
 
-    Version 5 files are written by ``model_to_dict``. Versions 4 (columns as
-    ``<f8``), 3 (arrays as JSON lists), 2 (always per-entry rows and outcomes) and
-    1 (every entry's cells) still load. The ``trace`` key of older files is ignored.
+    Version 5 files are written by ``model_to_dict``; version 4 files, whose
+    columns are all ``<f8``, read through the same path. Versions 1 to 3 are
+    refused: a model file is a cache of ``fit``, which rebuilds it from the CSV.
     """
     if not isinstance(payload, dict):
         raise PredictorError("model document must be a JSON object")
     version = payload.get("version")
     if not _is_int(version) or version not in range(1, MODEL_FILE_VERSION + 1):
         raise PredictorError(f"unsupported model file version {version!r}")
+    if version < 4:
+        raise PredictorError(f"model file version {version} is no longer read: run fit again to rebuild it")
     try:
         schema = schema_from_dict(payload["schema"])
-        table = (_table_v1 if version == 1 else _table_v2)(payload, schema)
+        table = _table(payload, schema)
         predictor = payload["predictor"]
         kernel = None
         if payload.get("kernel") is not None:
@@ -482,8 +475,8 @@ def model_from_dict(payload: dict) -> FittedModel:
         raise PredictorError(f"model file holds predictor {predictor!r} with kernel {payload.get('kernel')!r}")
     if density is not None and kernel is None:
         raise PredictorError("model file holds a density for a predictor without a kernel")
-    if version >= 3 and ("counts" in payload) == (density is not None):
-        raise PredictorError("model file: from version 3, counts without a density, else entry_row and outcomes")
+    if ("counts" in payload) == (density is not None):
+        raise PredictorError("model file: counts without a density, else entry_row and outcomes")
     return FittedModel(table, predictor, kernel=kernel, density=density)
 
 

@@ -21,7 +21,7 @@ from fieldpred.dataset import load_table, schema_to_dict
 from fieldpred.harness import all_tuples, spec_to_dict
 from fieldpred.predictors import model_to_dict
 
-from .util import as_version_2, as_version_3, unpacked
+from .util import unpacked
 
 DATA = Path(__file__).parent / "data"
 
@@ -152,16 +152,6 @@ def _packed(data: bytes, dtype: str, level: int | None = 1, cut: int = 0, tail: 
     return {"dtype": dtype, "zlib": base64.b64encode(stream[:len(stream) - cut] + tail).decode()}
 
 
-def _v3(corrupt):
-    """``corrupt`` applied to the version 3 form (JSON lists) of a version 5 document."""
-    return lambda payload: corrupt(as_version_3(payload))
-
-
-def _v2(corrupt):
-    """``corrupt`` applied to the version 2 form of a version 5 counts document."""
-    return lambda payload: corrupt(as_version_2(as_version_3(payload)))
-
-
 def _with_density(corrupt):
     """``corrupt`` applied, in place, to a version 5 document of the same
     table fitted with a density, which lists entry_row and outcomes."""
@@ -172,46 +162,32 @@ def _with_density(corrupt):
     return apply
 
 
+def _repacked(key, change):
+    """``change`` applied, in place, to the list of the density document's ``key``
+    array, packed again as ``|u1``. Its 5 entries hold 5 distinct rows and 2 labels."""
+    def corrupt(payload):
+        cells = unpacked(payload[key]).tolist()
+        change(cells)
+        payload[key] = _packed(bytes(cells), "|u1")
+    return _with_density(corrupt)
+
+
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda payload: payload["kernel"].update(mld="nan"), id="nan-mld"),
     pytest.param(lambda payload: payload.pop("schema"), id="no-schema"),
     pytest.param(lambda payload: payload["schema"]["attributes"][0].update(weight="nan"), id="nan-weight"),
-    pytest.param(_v3(lambda payload: payload["columns"][1]["values"].__setitem__(0, None)), id="null-cell"),
-    pytest.param(_v3(lambda payload: payload["columns"][0]["codes"].__setitem__(0, None)), id="null-code"),
-    pytest.param(_v3(lambda payload: payload["columns"][0]["codes"].__setitem__(0, 7)), id="code-out-of-range"),
-    # Version 2 lists every entry's row and outcome.
-    pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, 0.5)), id="fractional-outcome"),
-    pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, "yes")), id="string-outcome"),
-    pytest.param(_v2(lambda payload: payload["outcomes"].__setitem__(0, True)), id="bool-outcome"),
-    pytest.param(_v2(lambda payload: payload["outcomes"].pop()), id="short-outcomes"),
-    pytest.param(_v2(lambda payload: payload["entry_row"].append(0)), id="long-entry-row"),
-    pytest.param(_v2(lambda payload: payload["entry_row"].__setitem__(0, payload["n_rows"])), id="entry-row-past-u"),
-    pytest.param(_v2(lambda payload: payload.update(n_entries=6)), id="wrong-n-entries"),
-    # Version 3 lists the label counts, K lists of U: [[1, 1, 0, 0, 1], [0, 0, 1, 1, 0]].
-    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, 0.5)), id="fractional-count"),
-    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, "1")), id="string-count"),
-    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, True)), id="bool-count"),
-    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, 10**20)), id="count-past-int64"),
-    pytest.param(_v3(lambda payload: payload["counts"][0].__setitem__(0, None)), id="null-count"),
-    pytest.param(_v3(lambda payload: payload.update(counts=[[-1, 1, 0, 0, 1], [2, 0, 1, 1, 0]])), id="negative-count"),
-    pytest.param(_v3(lambda payload: payload["counts"][0].pop()), id="short-counts"),
-    pytest.param(_v3(lambda payload: payload["counts"][0].append(0)), id="long-counts"),
-    pytest.param(_v3(lambda payload: payload["counts"].pop()), id="missing-label-counts"),
-    pytest.param(_v3(lambda payload: payload["counts"].__setitem__(1, [[0]] * 5)), id="nested-counts"),
+    pytest.param(_repacked("outcomes", lambda cells: cells.__setitem__(0, 2)), id="outcome-past-k"),
+    pytest.param(_repacked("entry_row", lambda cells: cells.__setitem__(0, 5)), id="entry-row-past-u"),
+    pytest.param(_repacked("outcomes", list.pop), id="short-outcomes"),
+    pytest.param(_repacked("entry_row", lambda cells: cells.append(0)), id="long-entry-row"),
+    pytest.param(_with_density(lambda payload: payload.update(n_entries=6)), id="wrong-n-entries"),
     pytest.param(lambda payload: payload.update(n_entries=6), id="counts-short-of-n-entries"),
     pytest.param(lambda payload: payload.update(n_entries=4), id="counts-past-n-entries"),
     pytest.param(lambda payload: payload.pop("counts"), id="no-counts"),
     # numpy refuses 8e15 bytes up front, before touching any memory.
-    pytest.param(_v3(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [10**15, 0, 1, 1, 0]],
-                                                    n_entries=5 + 10**15)), id="counts-past-memory"),
-    # Counts that sum to n_entries = 2^64 + 3, which would wrap numpy's int64 entry total.
-    pytest.param(_v3(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**62] * 4 + [0]], n_entries=3 + 2**64)),
-                 id="counts-past-2-to-the-53"),
-    # Counts that sum to 2^64 + 3, which int64 arithmetic would read as n_entries = 3.
-    pytest.param(_v3(lambda payload: payload.update(counts=[[1, 1, 0, 0, 1], [2**63 - 1, 2**63 - 1, 1, 1, 0]],
-                                                    n_entries=3)), id="counts-wrapping-to-n-entries"),
-    pytest.param(_v3(lambda payload: payload["columns"][1]["values"].pop()), id="short-column"),
-    pytest.param(_v3(lambda payload: payload["columns"][1]["values"].__setitem__(0, True)), id="bool-cell"),
+    pytest.param(lambda payload: payload.update(counts=_packed(np.array([1, 1, 0, 0, 1, 10**15, 0, 1, 1, 0], "<u8")
+                                                               .tobytes(), "<u8"), n_entries=5 + 10**15),
+                 id="counts-past-memory"),
     pytest.param(lambda payload: payload.update(version=3.0), id="float-version"),
     # Packed: the codes [0, 0, 1, 1, 2], the sizes [1.0, 2.0, 3.0, 4.0, 2.5] (as <f8, or scaled) and the counts.
     *(pytest.param(lambda payload, packed=packed: payload["columns"][0].update(codes=packed), id=f"codes-{name}")
@@ -286,7 +262,10 @@ def _with_density(corrupt):
     pytest.param(_with_density(lambda payload: payload["density"].update(sts=payload["density"]["sts"] * 2)),
                  id="sts-off-tss"),
     pytest.param(_with_density(lambda payload: payload["density"]["dcf"].__setitem__(0, 1.0)), id="dcf-off-tss"),
-    # Version 3 lists entry_row and outcomes only with a density, counts only without one.
+    pytest.param(_with_density(lambda payload: payload["density"]["dcf"].pop()), id="short-dcf"),
+    pytest.param(_with_density(lambda payload: payload["density"].update(sts=None)), id="null-sts"),
+    pytest.param(_with_density(lambda payload: payload["density"].update(stavg=10**400)), id="huge-stavg"),
+    # entry_row and outcomes only with a density, counts only without one.
     pytest.param(_with_density(lambda payload: payload.update(density=None)), id="entry-rows-with-null-density"),
     pytest.param(_with_density(lambda payload: payload.pop("density")), id="entry-rows-without-density"),
     pytest.param(lambda payload: payload.update(density=DOCUMENTS["model-density"][0]["density"]),
@@ -306,26 +285,6 @@ def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, c
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["predict", "--model", str(path), "--query", "red,1.5"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
-@pytest.mark.parametrize("corrupt", [
-    pytest.param(lambda payload: payload["values"][0].__setitem__(1, None), id="null-cell"),
-    pytest.param(lambda payload: payload["values"][0].__setitem__(0, 3), id="number-in-categorical"),
-    pytest.param(lambda payload: payload["values"][0].pop(), id="short-row"),
-    pytest.param(lambda payload: payload.update(version=True), id="bool-version"),
-    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, 0.5), id="fractional-outcome"),
-    pytest.param(lambda payload: payload["outcomes"].__setitem__(0, "yes"), id="string-outcome"),
-    pytest.param(lambda payload: payload["density"]["dcf"].pop(), id="short-dcf"),
-    pytest.param(lambda payload: payload["density"].update(sts=None), id="null-sts"),
-    pytest.param(lambda payload: payload["density"].update(stavg=10**400), id="huge-stavg"),
-])
-def test_corrupted_v1_model_file_is_an_input_error(corrupt, tmp_path, capsys):
-    payload = json.loads((DATA / "model_v1_mixed_density.json").read_text())
-    corrupt(payload)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload))
-    assert main(["predict", "--model", str(path), "--query", "red,1.5,round"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -799,7 +758,7 @@ def _valid_documents() -> dict:
     """One valid document per kind, with the argv that reads it from ``{path}``."""
     table = load_table(TRAIN_CSV.encode())
     predict_argv = ["predict", "--model", "{path}", "--query", "red,1.5"]
-    # Older files also stored the adj_pow_2 residue, which the reader ignores.
+    # The reader ignores other kernel keys, such as the adj_pow_2 residue, which it derives.
     adj_model = fit(table, "rasturnat", "adj_pow_2")
     adj = model_to_dict(adj_model)
     adj["kernel"]["adrez"] = adj_model.kernel.adrez
@@ -807,12 +766,9 @@ def _valid_documents() -> dict:
         "model-adj-pow-2": (adj, predict_argv),
         "model-density": (model_to_dict(fit(table, "rasturnat", "newton", density=True)), predict_argv),
         "model-spliced": (model_to_dict(fit(table, "rasturnat", "spliced")), predict_argv),
-        "model-v1": (json.loads((DATA / "model_v1_mixed_density.json").read_text()),
-                     ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
-        "model-v2": (json.loads((DATA / "model_v2_rasturnat.json").read_text()),
-                     ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
-        "model-v3": (json.loads((DATA / "model_v3_density.json").read_text()),
-                     ["predict", "--model", "{path}", "--query", "red,1.5,round"]),
+        **{f"model-v4-{name}": (json.loads((DATA / f"model_v4_{name}.json").read_text()),
+                                ["predict", "--model", "{path}", "--query", "red,1.5,round"])
+           for name in ("counts", "density")},
         "schema": (schema_to_dict(table.schema), ["fit", "--train", "{train}", "--predictor", "delanga",
                                                   "--schema", "{path}"]),
         "spec": (spec_to_dict(counterexample_spec()), ["converge", "--spec", "{path}", "--arms",

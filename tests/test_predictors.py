@@ -40,7 +40,6 @@ from fieldpred.similarity import match_vectors
 
 from .util import (
     ScaledKernel,
-    as_version_3,
     as_version_4,
     brute_delanga,
     brute_one_nn,
@@ -52,6 +51,7 @@ from .util import (
     reference_predict,
     reference_prediction,
     reference_winner,
+    unpacked,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -604,11 +604,21 @@ class TestModelFiles:
         assert restored.kernel is None
         assert restored.predictor_kind == "delanga"
 
-    def test_version_gate(self):
+    @pytest.mark.parametrize("version, message", [
+        *(pytest.param(version, f"model file version {version} is no longer read: run fit again", id=str(version))
+          for version in (1, 2, 3)),
+        *(pytest.param(version, "unsupported model file version", id=repr(version))
+          for version in (0, 6, 99, 3.0, True, "5")),
+    ])
+    def test_version_gate(self, version, message, tmp_path, capsys):
         payload = model_to_dict(fit(two_bit_table(THREE_ROWS), "delanga"))
-        payload["version"] = 99
-        with pytest.raises(PredictorError, match="version"):
+        payload["version"] = version
+        with pytest.raises(PredictorError, match=message):
             model_from_dict(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(path), "--query", "0,1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "model.json"
@@ -640,44 +650,6 @@ class TestModelFiles:
                     assert prediction_bits(predict(fresh, query)) == prediction_bits(predict(loaded, query))
         return fresh
 
-    def test_version_1_file_predicts_like_a_fresh_fit(self):
-        # Written by the version 1 writer from mixed_train.csv with
-        # `fit --predictor rasturnat --kernel bridge --density`.
-        assert json.loads((DATA / "model_v1_mixed_density.json").read_text())["version"] == 1
-        self.assert_predicts_like_a_fresh_fit(load_model(DATA / "model_v1_mixed_density.json"))
-
-    def test_version_2_trace_key_is_ignored(self):
-        # Written from mixed_train.csv by a version 2 writer that still had
-        # `fit --trace`: `--predictor rasturnat --kernel bridge --density --trace`.
-        payload = json.loads((DATA / "model_v2_trace.json").read_text())
-        assert (payload["version"], payload["trace"]) == (2, True)
-        loaded = load_model(DATA / "model_v2_trace.json")
-        self.assert_predicts_like_a_fresh_fit(loaded)
-        assert "trace" not in model_to_dict(loaded)
-
-    @pytest.mark.parametrize("args", [("delanga",), ("nearest",), ("rasturnat", "bridge")], ids=lambda a: a[0])
-    def test_version_2_file_of_each_predictor_loads_to_the_same_bits(self, args):
-        # Written by the version 2 writer from mixed_train.csv with
-        # `fit --predictor P` (and `--kernel bridge` for rasturnat).
-        path = DATA / f"model_v2_{args[0]}.json"
-        assert json.loads(path.read_text())["version"] == 2
-        loaded = load_model(path)
-        fresh = self.assert_predicts_like_a_fresh_fit(loaded, *args, density=False)
-        assert model_to_dict(loaded) == model_to_dict(fresh)
-
-    @pytest.mark.parametrize("name, density", [("counts", False), ("density", True)])
-    def test_version_3_file_predicts_like_a_fresh_fit(self, name, density):
-        # Written by the version 3 writer from mixed_train.csv with
-        # `fit --predictor rasturnat --kernel bridge` (and `--density`).
-        payload = json.loads((DATA / f"model_v3_{name}.json").read_text())
-        assert payload["version"] == 3
-        loaded = load_model(DATA / f"model_v3_{name}.json")
-        fresh = self.assert_predicts_like_a_fresh_fit(loaded, "rasturnat", "bridge", density=density,
-                                                      canonical=not density)
-        # Packed, then listed again, the arrays are the version 3 file.
-        assert model_to_dict(loaded) == model_to_dict(fresh)
-        assert as_version_3(model_to_dict(loaded)) == payload
-
     @pytest.mark.parametrize("name, density", [("counts", False), ("density", True)])
     def test_version_4_file_predicts_like_a_fresh_fit(self, name, density):
         # Written by the version 4 writer from mixed_train.csv with
@@ -687,11 +659,18 @@ class TestModelFiles:
         loaded = load_model(DATA / f"model_v4_{name}.json")
         fresh = self.assert_predicts_like_a_fresh_fit(loaded, "rasturnat", "bridge", density=density,
                                                       canonical=not density)
-        # Saved again it is version 5, with the sizes scaled; as <f8 again it holds the file's arrays.
+        # Saved again it is version 5, with the sizes scaled, and decodes to the file's arrays bit for bit.
         saved = model_to_dict(loaded)
         assert saved == model_to_dict(fresh)
         assert (saved["version"], saved["columns"][1]["values"]["scale"]) == (5, 2)
-        assert as_version_3(as_version_4(saved)) == as_version_3(payload)
+        for document in (saved, payload):
+            document.pop("version")
+            for column in document["columns"]:
+                key = "values" if "values" in column else "codes"
+                column[key] = unpacked(column[key]).astype(np.float64).tobytes()
+            for key in {"counts", "entry_row", "outcomes"} & document.keys():
+                document[key] = unpacked(document[key]).tobytes()
+        assert saved == payload
 
     def test_a_density_whose_tss_differs_within_one_row_is_refused(self, tmp_path):
         # Entries 0 and 5 of mixed_train.csv hold one row (red, 1.5, round). sts, stavg and
@@ -709,31 +688,22 @@ class TestModelFiles:
         path.write_text(json.dumps(payload))
         assert main(["predict", "--model", str(path), "--query", "red,1.5,round"]) == 1
 
-    @staticmethod
-    def add_spare_row(payload):
-        """A spare row ahead of the others, holding the extremes of each column."""
-        for column in payload["columns"]:
-            cells = column.get("values", column.get("codes"))
-            cells.insert(0, max(cells) + 100 if "values" in column else len(column["categories"]) - 1)
-        payload["n_rows"] += 1
-
-    def test_version_2_rows_no_entry_holds_are_dropped(self):
-        model = fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True)
-        payload = as_version_3(model_to_dict(model))
-        payload["version"] = 2
-        self.add_spare_row(payload)
-        payload["entry_row"] = [u + 1 for u in payload["entry_row"]]
-        loaded = model_from_dict(payload)
-        assert loaded.table._distinct_entry.size == model.table._distinct_entry.size
-        self.assert_predicts_like_a_fresh_fit(loaded)
-
-    def test_rows_with_no_counts_are_dropped(self):
-        model = fit(load_table(DATA / "mixed_train.csv"), "delanga")
-        payload = as_version_3(model_to_dict(model))
-        self.add_spare_row(payload)
-        for row in payload["counts"]:
-            row.insert(0, 0)
-        assert model_to_dict(model_from_dict(payload)) == model_to_dict(model)
+    @pytest.mark.parametrize("density", [False, True], ids=["counts", "entry_row"])
+    def test_a_row_no_entry_holds_is_refused(self, density, tmp_path):
+        # Distinct row 0 of mixed_train.csv loses its entries: its counts are dropped, or its entries move to row 1.
+        payload = model_to_dict(fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=density))
+        if density:
+            payload["entry_row"] = predictors._packed(np.maximum(unpacked(payload["entry_row"]), 1))
+        else:
+            counts = unpacked(payload["counts"]).reshape(len(payload["schema"]["outcome_labels"]), -1).copy()
+            payload["n_entries"] -= int(counts[:, 0].sum())
+            counts[:, 0] = 0
+            payload["counts"] = predictors._packed(counts)
+        with pytest.raises(PredictorError, match="every distinct row must hold an entry"):
+            model_from_dict(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(path), "--query", "red,1.5,round"]) == 1
 
     def test_writes_version_5_without_indentation(self, tmp_path):
         path = tmp_path / "model.json"
@@ -759,11 +729,11 @@ class TestModelFiles:
             assert [array["dtype"] for array in arrays] == dtypes
             assert model_to_dict(model_from_dict(payload)) == payload
 
-    @pytest.mark.parametrize("n_rows, zeros", [(7, 2**26), (2**40, 2**12)])
+    @pytest.mark.parametrize("n_rows, zeros", [(7, 2**26), (2**40, 2**12), (2**40, 2**26)])
     def test_a_packed_stream_inflates_no_further_than_its_shape(self, n_rows, zeros):
         # 64 MiB of zeros in about 64 KB of zlib: codes for 7 rows stop after 7 bytes.
-        # A claim of 2^40 rows inflates only what the stream holds, and the short
-        # column refuses it before anything of that length (entry_row's bincount) exists.
+        # A claim of 2^40 rows is more than any stream of that size inflates to, so it
+        # is refused before anything is inflated, or anything of that length exists.
         payload = model_to_dict(fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True))
         payload["n_rows"] = n_rows
         stream = base64.b64encode(zlib.compress(bytes(zeros))).decode()
@@ -776,6 +746,13 @@ class TestModelFiles:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_a_stream_near_the_deflate_limit_still_decodes(self):
+        # 1 MiB of zeros at level 9 inflates about 1009 bytes per stream byte; deflate's limit is 1032.
+        stream = zlib.compress(bytes(2**20), 9)
+        assert 1000 < 2**20 / len(stream) < 1032
+        packed = {"dtype": "|u1", "zlib": base64.b64encode(stream).decode()}
+        assert predictors._array(packed, "u", (2**20,), "codes").tobytes() == bytes(2**20)
 
 
 def prediction_bits(p) -> tuple:
@@ -802,16 +779,15 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
         save_model(loaded, path)
         assert path.read_text() == text
         reloaded = load_model(path)
-    # The same document with its columns as <f8 (version 4), or its arrays listed as version 3, loads to the same model.
+    # The same document with its columns as <f8 (version 4) loads to the same model.
     assert json.loads(text)["version"] == 5
     unscaled = model_from_dict(as_version_4(json.loads(text)))
-    listed = model_from_dict(as_version_3(json.loads(text)))
     # A density keeps the entry order; otherwise the entries come back in
     # canonical order: distinct row, then label.
     order = np.lexsort((table._outcomes, table._distinct_of))
     if model.density is not None:
         order = np.arange(table.n_entries)
-    for got in (loaded, reloaded, unscaled, listed):
+    for got in (loaded, reloaded, unscaled):
         assert got.table.values == tuple(table.values[i] for i in order)
         assert got.table.outcomes == tuple(table.outcomes[i] for i in order)
         assert got.table.schema == table.schema
@@ -824,7 +800,6 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
         assert (loaded.density.sts, loaded.density.stavg) == (model.density.sts, model.density.stavg)
     for query in queries:
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(loaded, query))
-        assert prediction_bits(predict(model, query)) == prediction_bits(predict(listed, query))
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(unscaled, query))
 
 

@@ -517,31 +517,3 @@ def as_version_4(payload: dict) -> dict:
             column["values"] = {"dtype": "<f8", "zlib": base64.b64encode(raw).decode()}
     payload["version"] = 4
     return payload
-
-
-def as_version_3(payload: dict) -> dict:
-    """A version 4 or 5 model document rewritten in place as version 3: every
-    packed array becomes the JSON list of its values (a scaled column's floats),
-    and ``counts`` K lists of U."""
-    def listed(packed: dict, *shape: int) -> list:
-        return unpacked(packed).reshape(shape or (-1,)).tolist()
-    for column in payload["columns"]:
-        key = "values" if "values" in column else "codes"
-        column[key] = listed(column[key])
-    for key in ("entry_row", "outcomes"):
-        if key in payload:
-            payload[key] = listed(payload[key])
-    if "counts" in payload:
-        payload["counts"] = listed(payload["counts"], len(payload["schema"]["outcome_labels"]), -1)
-    payload["version"] = 3
-    return payload
-
-
-def as_version_2(payload: dict) -> dict:
-    """A version 3 model document with ``counts``, rewritten in place as
-    version 2: one ``entry_row`` and ``outcomes`` item per entry, listed in
-    canonical order (distinct row, then label)."""
-    counts = payload.pop("counts")
-    cells = [(u, k) for u in range(payload["n_rows"]) for k, row in enumerate(counts) for _ in range(row[u])]
-    payload.update(version=2, entry_row=[u for u, _ in cells], outcomes=[k for _, k in cells])
-    return payload
