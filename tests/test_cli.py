@@ -162,6 +162,16 @@ def _with_density(corrupt):
     return apply
 
 
+def _listed(change):
+    """``change`` applied, in place, to the sizes [1.0, 2.0, 3.0, 4.0, 2.5] written
+    as a JSON list of numbers, the form the density's tss and dcf take."""
+    def corrupt(payload):
+        cells = unpacked(payload["columns"][1]["values"]).tolist()
+        change(cells)
+        payload["columns"][1]["values"] = cells
+    return corrupt
+
+
 def _repacked(key, change):
     """``change`` applied, in place, to the list of the density document's ``key``
     array, packed again as ``|u1``. Its 5 entries hold 5 distinct rows and 2 labels."""
@@ -189,6 +199,30 @@ def _repacked(key, change):
                                                                .tobytes(), "<u8"), n_entries=5 + 10**15),
                  id="counts-past-memory"),
     pytest.param(lambda payload: payload.update(version=3.0), id="float-version"),
+    # A list of reals is checked cell by cell; codes, counts, entry_row and outcomes must be packed.
+    pytest.param(_listed(lambda cells: cells.__setitem__(0, None)), id="null-cell"),
+    pytest.param(_listed(lambda cells: cells.__setitem__(0, True)), id="bool-cell"),
+    pytest.param(_listed(lambda cells: cells.__setitem__(0, "1.0")), id="string-cell"),
+    pytest.param(_listed(lambda cells: cells.__setitem__(0, [1.0])), id="nested-cell"),
+    pytest.param(_listed(list.pop), id="short-column"),
+    pytest.param(_listed(lambda cells: cells.append(1.0)), id="long-column"),
+    pytest.param(lambda payload: payload["columns"][0].update(codes=unpacked(payload["columns"][0]["codes"]).tolist()),
+                 id="listed-codes"),
+    pytest.param(lambda payload: payload.update(counts=unpacked(payload["counts"]).reshape(2, 5).tolist()),
+                 id="listed-counts"),
+    *(pytest.param(_with_density(lambda payload, key=key: payload.update({key: unpacked(payload[key]).tolist()})),
+                   id=f"listed-{key.replace('_', '-')}") for key in ("entry_row", "outcomes")),
+    # The counts [1, 1, 0, 0, 1, 0, 0, 1, 1, 0], one cell short or long.
+    pytest.param(lambda payload: payload.update(counts=_packed(bytes([1, 1, 0, 0, 1, 0, 0, 1, 1]), "|u1")),
+                 id="short-counts"),
+    pytest.param(lambda payload: payload.update(counts=_packed(bytes([1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0]), "|u1")),
+                 id="long-counts"),
+    pytest.param(lambda payload: payload["columns"][0]["categories"].__setitem__(0, 1), id="number-in-categorical"),
+    pytest.param(lambda payload: payload["columns"][0]["categories"].reverse(), id="reordered-categories"),
+    pytest.param(lambda payload: payload["columns"].__setitem__(0, []), id="column-not-an-object"),
+    pytest.param(lambda payload: payload.update(n_rows=0), id="zero-rows"),
+    pytest.param(lambda payload: payload.update(n_rows=True), id="bool-rows"),
+    pytest.param(lambda payload: payload.update(n_rows=2**53), id="rows-past-2-to-the-53"),
     # Packed: the codes [0, 0, 1, 1, 2], the sizes [1.0, 2.0, 3.0, 4.0, 2.5] (as <f8, or scaled) and the counts.
     *(pytest.param(lambda payload, packed=packed: payload["columns"][0].update(codes=packed), id=f"codes-{name}")
       for name, packed in {

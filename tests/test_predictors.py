@@ -608,7 +608,7 @@ class TestModelFiles:
         *(pytest.param(version, f"model file version {version} is no longer read: run fit again", id=str(version))
           for version in (1, 2, 3)),
         *(pytest.param(version, "unsupported model file version", id=repr(version))
-          for version in (0, 6, 99, 3.0, True, "5")),
+          for version in (0, 6, 99, 3.0, 4.0, True, "5", None)),
     ])
     def test_version_gate(self, version, message, tmp_path, capsys):
         payload = model_to_dict(fit(two_bit_table(THREE_ROWS), "delanga"))
@@ -649,6 +649,16 @@ class TestModelFiles:
                     query = Query((color, size, shape))
                     assert prediction_bits(predict(fresh, query)) == prediction_bits(predict(loaded, query))
         return fresh
+
+    @pytest.mark.parametrize("args", [("delanga",), ("nearest",), ("rasturnat", "bridge")], ids=lambda a: a[0])
+    def test_file_of_each_predictor_loads_to_the_same_bits(self, args, tmp_path):
+        # Written from mixed_train.csv by `fit --predictor P` (and `--kernel bridge` for rasturnat).
+        path = tmp_path / "model.json"
+        argv = ["fit", "--train", str(DATA / "mixed_train.csv"), "--predictor", args[0], "--out", str(path)]
+        assert main(argv + ["--kernel", *args[1:]] * (len(args) > 1)) == 0
+        loaded = load_model(path)
+        fresh = self.assert_predicts_like_a_fresh_fit(loaded, *args, density=False, canonical=True)
+        assert model_to_dict(loaded) == model_to_dict(fresh)
 
     @pytest.mark.parametrize("name, density", [("counts", False), ("density", True)])
     def test_version_4_file_predicts_like_a_fresh_fit(self, name, density):
@@ -741,6 +751,20 @@ class TestModelFiles:
         tracemalloc.start()
         try:
             with pytest.raises(PredictorError, match=f"one zlib stream of {n_rows} bytes"):
+                model_from_dict(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_claim_of_entries_past_the_stream_is_refused_before_inflating(self):
+        # entry_row is sized by n_entries: 2^40 of them are more than 64 KB of zlib inflates to.
+        payload = model_to_dict(fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True))
+        payload["n_entries"] = 2**40
+        payload["entry_row"] = {"dtype": "|u1", "zlib": base64.b64encode(zlib.compress(bytes(2**26))).decode()}
+        tracemalloc.start()
+        try:
+            with pytest.raises(PredictorError, match=f"entry_row must pack one zlib stream of {2**40} bytes"):
                 model_from_dict(payload)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
