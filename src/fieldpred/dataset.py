@@ -206,9 +206,9 @@ class TrainingTable:
 
         ``_distinct_of[i]`` is entry i's distinct row, ``_distinct_entry[u]``
         an entry holding row u, ``_col_data[j]`` column j over the U distinct
-        rows (category codes as floats). Distinct rows are kept in
-        lexicographic order of their coded cells, which does not depend on
-        the order of entries or rows.
+        rows (floats, or codes in the least signed dtype that holds -1). Rows
+        are in lexicographic order of their coded cells, which does not depend
+        on the order of entries or rows.
         """
         m = outcomes.size
         self._col_vocab = vocabs
@@ -224,7 +224,9 @@ class TrainingTable:
         self._distinct_entry[self._distinct_of] = np.arange(m)
         picked = entry_row[self._distinct_entry]
         # Adding +0.0 stores -0.0 as +0.0, so a row's cells do not depend on which of its entries came last.
-        self._col_data = [np.asarray(data, dtype=np.float64)[picked] + 0.0 for data in columns]
+        self._col_data = [np.asarray(data, dtype=np.float64)[picked] + 0.0 if vocab is None
+                          else data[picked].astype(np.min_scalar_type(-len(vocab)))
+                          for data, vocab in zip(columns, vocabs)]
         # Each entry's flat (distinct row, outcome) cell of the U x K count matrix.
         self._vote_cell = self._distinct_of * k + outcomes
         self._label_counts = np.bincount(self._vote_cell, minlength=u * k).reshape(u, k).astype(np.float64)

@@ -49,7 +49,7 @@ MODEL_FILE_VERSION = 5
 #: Packed dtypes (the kind is the second character): values, scaled values, then codes and counts.
 _PACKED_DTYPES = ("<f8", "|i1", "<i2", "<i4", "<i8", "|u1", "<u2", "<u4", "<u8")
 
-#: Cells a density-fit block scores at once: B rows against all U rows.
+#: Cells a density-fit strip scores at once: B rows against the rows from the first of them on.
 _DENSITY_BLOCK_CELLS = 1 << 14
 
 
@@ -249,27 +249,31 @@ def _predict_field(model: FittedModel, dm: np.ndarray) -> Prediction:
 def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     """Score every distinct row against the whole table and derive dcf factors.
 
-    O(U^2 * N) for U distinct rows, scored in blocks of about 2^14 cells
-    (``max(1, 2^14 // U)`` rows against all U), so that each float64
-    temporary stays within glibc's 128 KiB mmap threshold and the heap
-    reuses its pages. numpy sums each row of a C-contiguous block in the
-    same order whatever rows share the block, so tss does not depend on
-    the block layout, nor on the order of the table's rows (the distinct
-    rows are in canonical order). Each tss lies within a few ulps of the
+    O(U^2 * N) for U distinct rows, each unordered pair scored once: strip s
+    scores rows [s, e) against rows [s, U), e = s + max(1, 2^14 // (U - s)),
+    so that each float64 temporary stays within glibc's 128 KiB mmap threshold
+    and the heap reuses its pages. d(u, v) is bitwise symmetric, so a strip
+    adds its row sums to rows [s, e) and its column sums to rows [e, U). tss
+    depends only on the table (its distinct rows are in canonical order) and
+    the fixed strip size: a table of at most 128 rows is one strip of plain
+    row sums. Each tss lies within about one rounding per strip of the
     correctly rounded sum of its U terms. Identical entries share one tss,
     which includes the entry's own term.
     """
     m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
     n_rows = multiplicity.size
-    step = max(1, _DENSITY_BLOCK_CELLS // n_rows)
-    row_tss = np.empty(n_rows, dtype=np.float64)
+    row_tss = np.zeros(n_rows, dtype=np.float64)
+    start = 0
     with np.errstate(over="ignore"):
-        for start in range(0, n_rows, step):
-            block = [column[start:start + step, None] for column in table._col_data]
-            _, dm = match_encoded(block, table)
+        while start < n_rows:
+            end = start + max(1, _DENSITY_BLOCK_CELLS // (n_rows - start))
+            block = [column[start:end, None] for column in table._col_data]
             # Without attribute columns the scores stay one row of U = 1.
-            row_tss[start:start + step] = (kernel.evaluate(dm) * multiplicity).reshape(-1, n_rows).sum(axis=1)
+            k = kernel.evaluate(match_encoded(block, table, slice(start, None))[1]).reshape(-1, n_rows - start)
+            row_tss[start:end] += (k * multiplicity[start:]).sum(axis=1)
+            row_tss[end:] += multiplicity[start:end] @ k[:, end - start:]
+            start = end
     tss = row_tss[table._distinct_of]
     try:
         if not np.isfinite(row_tss).all():
@@ -404,6 +408,8 @@ def _table(payload: dict, schema: Schema) -> TrainingTable:
             data = _index_array(column["codes"], u, len(cats), f"{what} codes")
         else:
             vocabs.append(None)
+            if not isinstance(column["values"], dict):  # only the density's tss and dcf may be lists
+                raise PredictorError(f"model file: {what} values must be a packed array")
             data = _real_array(column["values"], u, f"{what} values")
         coded.append(data)
     k = len(schema.outcome_labels)

@@ -28,9 +28,9 @@ def match_vectors(query: Query, table: TrainingTable) -> tuple[np.ndarray, np.nd
 
 
 def match_encoded(encoded: Sequence, table: TrainingTable,
-                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  rows: np.ndarray | slice | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``match_vectors`` for cells already coded against the table, over
-    the distinct rows ``rows`` (all U when None).
+    the distinct rows ``rows`` (all U when None; a slice scores views).
 
     One coded cell per column scores one query against the rows. A
     column of B cells (shape B x 1) broadcasts to a B x U block of
@@ -40,7 +40,7 @@ def match_encoded(encoded: Sequence, table: TrainingTable,
     """
     # A block's cells have shape B x 1 (a single query's are scalars, shape ()).
     lead = getattr(encoded[0], "shape", ())[:-1] if len(encoded) else ()
-    ems = np.zeros(lead + (table._distinct_entry if rows is None else rows).shape, dtype=np.float64)
+    ems = np.zeros(lead + table._distinct_entry[slice(None) if rows is None else rows].shape, dtype=np.float64)
     columns = table._col_data if rows is None else [column[rows] for column in table._col_data]
     for j, spec in enumerate(table.schema.attributes):
         column, w = columns[j], spec.weight

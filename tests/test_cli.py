@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -163,13 +164,20 @@ def _with_density(corrupt):
 
 
 def _listed(change):
-    """``change`` applied, in place, to the sizes [1.0, 2.0, 3.0, 4.0, 2.5] written
-    as a JSON list of numbers, the form the density's tss and dcf take."""
+    """``change`` applied, in place, to the density document's tss, a JSON list of
+    5 numbers: only the density's tss and dcf take that form. While its 5 cells
+    still read as floats, sts, stavg and dcf are made to agree with them, so
+    that only the checks on the list itself can refuse the document."""
     def corrupt(payload):
-        cells = unpacked(payload["columns"][1]["values"]).tolist()
-        change(cells)
-        payload["columns"][1]["values"] = cells
-    return corrupt
+        density = payload["density"]
+        change(density["tss"])
+        try:
+            tss = [float(t) for t in density["tss"]]
+        except (TypeError, ValueError):
+            return
+        if len(tss) == 5:
+            density.update(sts=math.fsum(tss), stavg=math.fsum(tss) / 5, dcf=[math.fsum(tss) / (5 * t) for t in tss])
+    return _with_density(corrupt)
 
 
 def _repacked(key, change):
@@ -199,7 +207,7 @@ def _repacked(key, change):
                                                                .tobytes(), "<u8"), n_entries=5 + 10**15),
                  id="counts-past-memory"),
     pytest.param(lambda payload: payload.update(version=3.0), id="float-version"),
-    # A list of reals is checked cell by cell; codes, counts, entry_row and outcomes must be packed.
+    # The density's tss, a list of reals, is checked cell by cell; every other array must be packed.
     pytest.param(_listed(lambda cells: cells.__setitem__(0, None)), id="null-cell"),
     pytest.param(_listed(lambda cells: cells.__setitem__(0, True)), id="bool-cell"),
     pytest.param(_listed(lambda cells: cells.__setitem__(0, "1.0")), id="string-cell"),

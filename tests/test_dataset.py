@@ -20,12 +20,13 @@ from fieldpred import (
     load_table,
     validate_query,
 )
-from fieldpred import dataset
+from fieldpred import dataset, predictors
 from fieldpred.cli import main
 from fieldpred.dataset import schema_from_dict, schema_to_dict
 from fieldpred.predictors import model_to_dict
+from fieldpred.similarity import match_vectors
 
-from .util import csv_reference_load_table, serialize_table
+from .util import csv_reference_load_table, serialize_table, wide_categorical_table
 
 CSV_MIXED = b"""color,size,label
 red,1.5,yes
@@ -307,6 +308,31 @@ def test_a_row_of_negative_zero_holds_positive_zero_in_either_order():
         assert table._col_data[0].tolist() == [0.0] and not np.signbit(table._col_data[0]).any()
     columns = [model_to_dict(fit(table, "delanga"))["columns"] for table in tables]
     assert all(column == columns[0] for column in columns)
+
+
+@pytest.mark.parametrize("n_categories, dtype", [(1, np.int8), (128, np.int8), (129, np.int16), (200, np.int16)])
+def test_category_codes_take_the_least_signed_dtype_that_holds_minus_one(n_categories, dtype):
+    table = wide_categorical_table(n_categories)
+    codes = table._col_data[0]
+    assert codes.dtype == dtype and table._col_data[1].dtype == np.float64
+    assert codes.tolist() == list(range(n_categories))
+    # numpy 1.24 casts a Python int by its value and numpy 2 takes it as weak:
+    # either way a query's code compares in the column's own dtype.
+    for code in (-1, n_categories - 1):
+        assert np.result_type(codes, code) == dtype
+    # They pack to the bytes that float codes packed to.
+    assert predictors._packed(codes) == predictors._packed(codes.astype(np.float64))
+    loaded = load_table(serialize_table(table), schema=table.schema)
+    assert loaded._col_data[0].dtype == dtype and loaded._col_data[0].tobytes() == codes.tobytes()
+
+
+@pytest.mark.parametrize("n_categories", [3, 128, 200])
+def test_an_unseen_category_matches_no_row(n_categories):
+    table = wide_categorical_table(n_categories)
+    assert table.encode_query(Query(("unseen", 3.0)))[0] == -1
+    unseen, v0 = (match_vectors(Query((cell, 3.0)), table)[0] for cell in ("unseen", "v0"))
+    # Only the row of v0 (row 0: rows are in code order) scores the category column's 1.
+    assert np.flatnonzero(v0 != unseen).tolist() == [0] and v0[0] == pytest.approx(unseen[0] + 1.0)
 
 
 def test_total_weight_matches_full_match_accumulation():

@@ -36,7 +36,7 @@ from fieldpred import (
 from fieldpred import predictors
 from fieldpred.cli import main
 from fieldpred.predictors import model_from_dict, model_to_dict
-from fieldpred.similarity import match_vectors
+from fieldpred.similarity import match_encoded, match_vectors
 
 from .util import (
     ScaledKernel,
@@ -52,6 +52,7 @@ from .util import (
     reference_prediction,
     reference_winner,
     unpacked,
+    wide_categorical_table,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -455,10 +456,17 @@ def assert_same_density(got: DensityModel, want: DensityModel) -> None:
     assert (got.sts, got.stavg) == (want.sts, want.stavg)
 
 
-#: How far, relatively, the fit's numpy row sums may stray from the per-row
-#: ``math.fsum`` fit of ``reference_density_model``. numpy's pairwise sum of
-#: U positive terms strays by at most about 33 ulps at U = 20,000 (3.7e-15),
-#: so this leaves a margin of over a hundredfold.
+#: How far, relatively, the strip fit may stray from the per-row ``math.fsum``
+#: fit of ``reference_density_model``. A row's tss is one numpy pairwise row
+#: sum plus at most one column piece per earlier strip, each piece a dot
+#: product of at most 127 terms, the pieces added in strip order. With positive
+#: terms the relative error is at most about h * 2^-53, h the longest chain of
+#: roundings any term passes through. At U = 20,000 the fit takes 14,185 strips
+#: of at most 82 rows before the last, so h is about 14,270 and the worst case,
+#: every rounding the same way, about 1.6e-12. Measured on the mixed benchmark
+#: law (bridge, newton and gauss): at most 6.0e-15 at U = 20,000 and 2.4e-15 at
+#: U = 10,000. The tables here have at most 1,005 distinct rows and 1,005
+#: strips, a worst case of about 1.2e-13, so this leaves a margin of eightfold.
 DENSITY_REL_TOL = 1e-12
 
 
@@ -467,32 +475,61 @@ def assert_close_density(got: DensityModel, want: DensityModel) -> None:
         np.testing.assert_allclose(a, b, rtol=DENSITY_REL_TOL, atol=0)
 
 
-def fit_at_every_block_size(table: TrainingTable, kernel) -> DensityModel:
-    """The density fit with blocks of 1, 7, 1000 and 2^16 cells, which must agree bit for bit."""
-    fits = []
+def fit_at_every_block_size(table: TrainingTable, kernel) -> None:
+    """The density fit with strips of 1, 7, 1000 and 2^16 cells: each within
+    DENSITY_REL_TOL of the per-row fsum fit, and each the same bits when fit twice."""
+    want = reference_density_model(table, kernel)
     for block_cells in (1, 7, 1000, 1 << 16):
         with mock.patch.object(predictors, "_DENSITY_BLOCK_CELLS", block_cells):
-            fits.append(compute_density_model(table, kernel))
-    for other in fits[1:]:
-        assert_same_density(other, fits[0])
-    return fits[0]
+            got = compute_density_model(table, kernel)
+            assert_same_density(compute_density_model(table, kernel), got)
+        assert_close_density(got, want)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_KINDS), st.integers(1, 300))
 def test_blocked_density_fit_equals_the_per_row_fit(seed, kind, n_distinct):
-    # 2^16 cells cross a block boundary from U = 257 on; the smaller
-    # blocks cross them at every U above a handful.
+    # 2^16 cells take more than one strip from U = 257 on; the smaller
+    # strips take several at every U above a handful.
+    table = random_repeated_table(np.random.default_rng(seed), n_distinct)
+    fit_at_every_block_size(table, make_kernel(kind, table.n_entries))
+
+
+def one_block_density(table: TrainingTable, kernel) -> np.ndarray:
+    """Each entry's tss as one block of every distinct row against all U:
+    the kernel values times the multiplicities, summed along each row."""
+    n_rows = table._distinct_entry.size
+    _, dm = match_encoded([column[:, None] for column in table._col_data], table)
+    row_tss = (kernel.evaluate(dm) * table._label_counts.sum(axis=1)).reshape(-1, n_rows).sum(axis=1)
+    return row_tss[table._distinct_of]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_KINDS), st.integers(1, 128))
+def test_a_table_of_at_most_128_rows_is_fit_in_one_block(seed, kind, n_distinct):
+    # One strip of 2^14 cells holds every pair of up to 128 rows, so the fit
+    # is the plain row sums, bit for bit, as the cat-1e5 and converge density
+    # tables (at most 27 distinct rows) are written.
     table = random_repeated_table(np.random.default_rng(seed), n_distinct)
     kernel = make_kernel(kind, table.n_entries)
-    assert_close_density(fit_at_every_block_size(table, kernel), reference_density_model(table, kernel))
+    assert compute_density_model(table, kernel).tss.tobytes() == one_block_density(table, kernel).tobytes()
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_the_widest_one_block_table_keeps_the_plain_row_sums(kind):
+    tables = [ladder_table(128), TrainingTable(Schema((), ("A", "B")), [(), (), ()], [0, 1, 0])]
+    assert [table._distinct_entry.size for table in tables] == [128, 1]
+    for table in tables:
+        kernel = make_kernel(kind, table.n_entries)
+        assert compute_density_model(table, kernel).tss.tobytes() == one_block_density(table, kernel).tobytes()
 
 
 @pytest.mark.parametrize("n_values", [7, 129, 8191, 8193, 20000])
 @pytest.mark.parametrize("n_rows", [1, 2, 7])
 def test_numpy_sums_each_row_of_a_block_as_it_sums_the_row_alone(n_rows, n_values):
-    # The density fit is block-invariant only because of this; 8,192 is
-    # the size of numpy's reduction buffer.
+    # A strip's row sums are the plain row sums over the rest of the table,
+    # whatever rows share the strip, only because of this; 8,192 is the size
+    # of numpy's reduction buffer.
     rng = np.random.default_rng([n_rows, n_values])
     block = np.ldexp(rng.random((n_rows, n_values)), rng.integers(-60, 60, (n_rows, n_values)))
     sums = block.sum(axis=1)
@@ -548,16 +585,15 @@ def test_density_fit_over_many_blocks_with_a_short_last_block_equals_the_per_row
     n_rows = table._distinct_entry.size
     step = predictors._DENSITY_BLOCK_CELLS // n_rows
     assert n_rows // step > 10 and n_rows % step != 0
-    kernel = make_kernel(kind, table.n_entries)
-    assert_close_density(fit_at_every_block_size(table, kernel), reference_density_model(table, kernel))
+    fit_at_every_block_size(table, make_kernel(kind, table.n_entries))
 
 
 def test_density_field_overflowing_in_a_later_block_is_an_input_error():
     # Only the last two distinct rows, which sit at distance 0 from each
-    # other, carry fields of 1e308 + 1e308; every earlier block is finite.
+    # other, carry fields of 1e308 + 1e308; every earlier strip is finite.
     table = ladder_table(2000, twin_of_last=True)
     assert table._distinct_of[-2:].tolist() == [1999, 2000] and table._distinct_entry.size == 2001
-    assert predictors._DENSITY_BLOCK_CELLS // 2001 < 1999  # the first block holds neither
+    assert predictors._DENSITY_BLOCK_CELLS // 2001 < 1999  # the first strip holds neither
     with pytest.raises(PredictorError, match="density field overflows"):
         compute_density_model(table, make_kernel("newton", table.n_entries, 1e308))
 
@@ -595,6 +631,39 @@ class TestModelFiles:
         assert loaded.kernel.kind == "spliced"
         assert loaded.kernel.base.kind == "pow_2"
         assert loaded.kernel.mld == model.kernel.mld
+
+    def test_a_200_category_table_round_trips_through_a_model_file(self, tmp_path):
+        # Its codes are int16 in memory; the file packs them as |u1, as it packed float codes.
+        table = wide_categorical_table(200)
+        for model in (fit(table, "delanga"), fit(table, "rasturnat", "bridge", density=True)):
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            loaded = load_model(path)
+            assert loaded.table._col_data[0].dtype == np.int16
+            assert json.loads(path.read_text())["columns"][0]["codes"]["dtype"] == "|u1"
+            for cell in ("v0", "v137", "v199", "unseen"):
+                for x in (0.0, 3.5):
+                    query = Query((cell, x))
+                    assert prediction_bits(predict(loaded, query)) == prediction_bits(predict(model, query))
+
+    def test_codes_pack_to_the_bytes_of_the_version_4_fixtures(self):
+        # The fixtures were written while category codes were held as floats.
+        for name in ("counts", "density"):
+            payload = json.loads((DATA / f"model_v4_{name}.json").read_text())
+            saved = model_to_dict(load_model(DATA / f"model_v4_{name}.json"))
+            assert [column.get("codes") for column in saved["columns"]] == [
+                column.get("codes") for column in payload["columns"]]
+
+    def test_a_continuous_column_listed_as_numbers_is_refused(self, tmp_path, capsys):
+        # Only the density's tss and dcf may be JSON lists; no writer lists a column's values.
+        payload = model_to_dict(fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True))
+        payload["columns"][1]["values"] = unpacked(payload["columns"][1]["values"]).tolist()
+        with pytest.raises(PredictorError, match="'size' values must be a packed array"):
+            model_from_dict(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(path), "--query", "red,1.5,round"]) == 1
+        assert capsys.readouterr().err.startswith("error: model file: column 'size' values must be a packed array")
 
     def test_delanga_model_has_no_kernel(self, tmp_path):
         model = fit(two_bit_table(THREE_ROWS), "delanga")

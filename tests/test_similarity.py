@@ -234,6 +234,32 @@ def test_single_query_scores_equal_their_row_of_a_block(seed):
         assert np.array_equal(ems[b], one_ems) and np.array_equal(dm[b], one_dm)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_scores_over_a_row_slice_equal_the_full_scan_at_those_rows(seed):
+    # A slice scores views of the columns, as the density fit's strips do:
+    # a single query, and a B x 1 block of the table's own rows from the
+    # first row of the slice on.
+    rng = np.random.default_rng(seed)
+    table, queries = random_mixed_instance(rng)
+    n_rows = table._distinct_entry.size
+    for start in sorted({0, int(rng.integers(0, n_rows)), n_rows - 1}):
+        end = start + int(rng.integers(1, 5))
+        strip = [column[start:end, None] for column in table._col_data]
+        for block in [table.encode_query(query) for query in queries] + [strip]:
+            full, part = match_encoded(block, table), match_encoded(block, table, slice(start, None))
+            for got, want in zip(part, full):
+                assert got.shape == want[..., start:].shape and got.tobytes() == want[..., start:].tobytes()
+
+
+def test_scores_over_a_row_slice_of_a_table_without_attributes():
+    # Its one distinct row sits at distance 0 from every query.
+    table = TrainingTable(Schema((), ("A", "B")), [(), (), ()], [0, 1, 0])
+    for rows, want in ((slice(None), [0.0]), (slice(0, None), [0.0]), (slice(1, None), [])):
+        ems, dm = match_encoded([], table, rows)
+        assert (ems.tolist(), dm.tolist()) == (want, want)
+
+
 @st.composite
 def weighted_mixed_cases(draw, kinds=("categorical", "continuous", "constant")):
     """A table of the column ``kinds`` under weights of 0, -0.0, 0.25, 1 and 3,

@@ -99,6 +99,16 @@ def random_mixed_instance(rng: np.random.Generator, max_entries: int = 30):
     return TrainingTable(schema, rows, outcomes), queries
 
 
+def wide_categorical_table(n_categories: int) -> TrainingTable:
+    """One row per category of a column of ``n_categories``, beside a
+    continuous column, under two labels."""
+    categories = tuple(f"v{c}" for c in range(n_categories))
+    schema = Schema((AttributeSpec("c", "categorical", categories=categories), AttributeSpec("x", "continuous")),
+                    ("A", "B"))
+    return TrainingTable(schema, [(cat, float(c % 7)) for c, cat in enumerate(categories)],
+                         [c % 2 for c in range(n_categories)])
+
+
 def brute_distance(query: Query, table: TrainingTable, row: int) -> float:
     """Matching distance via a plain per-column loop."""
     score = 0.0
@@ -365,8 +375,8 @@ def _naive_kernel_value(kernel: Kernel, d: float) -> float:
 
 def reference_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     """The density fit one distinct row at a time, each row's U terms summed
-    by ``math.fsum``: the plain loop the blocked fit's numpy row sums must
-    come within a few ulps of."""
+    by ``math.fsum``: the plain loop the strip fit must come within about one
+    rounding per strip of."""
     m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
     row_tss = np.empty(multiplicity.size, dtype=np.float64)
