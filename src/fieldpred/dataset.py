@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +56,10 @@ def _is_count(value) -> bool:  # an int or numpy integer, not a bool, of at leas
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
+def _is_strings(value) -> bool:  # a list or tuple of str
+    return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
+
+
 def _is_finite_real(value) -> bool:
     """An int or float (not a bool) with a finite value; an int too large for a float is not."""
     try:
@@ -80,13 +84,18 @@ class AttributeSpec:
     range_width: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"attribute name {self.name!r} must be a string")
         if self.kind not in (CATEGORICAL, CONTINUOUS):
             raise DataError(f"unknown attribute kind {self.kind!r} for {self.name!r}")
         if not _is_finite_real(self.weight) or self.weight < 0:
             raise DataError(f"attribute {self.name!r} needs a finite weight >= 0")
+        object.__setattr__(self, "weight", float(self.weight))
         if self.categories is not None:
             if self.kind != CATEGORICAL:
                 raise DataError(f"categories given for continuous attribute {self.name!r}")
+            if not _is_strings(self.categories):
+                raise DataError(f"attribute {self.name!r} needs its categories as a list or tuple of strings")
             cats = tuple(self.categories)
             if len(set(cats)) != len(cats):
                 raise DataError(f"duplicate categories for attribute {self.name!r}")
@@ -106,7 +115,13 @@ class Schema:
     outcome_labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
+        # Sequences and iterators give the attributes in order; a set or a mapping is refused.
+        attrs = tuple(self.attributes) if isinstance(self.attributes, (list, tuple, Iterator)) else None
+        if attrs is None or not all(isinstance(spec, AttributeSpec) for spec in attrs):
+            raise DataError("schema attributes must be a list, tuple or iterator of AttributeSpec")
+        if not _is_strings(self.outcome_labels):
+            raise DataError("schema outcome_labels must be a list or tuple of strings")
+        object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "outcome_labels", tuple(self.outcome_labels))
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
@@ -550,31 +565,17 @@ def schema_to_dict(schema: Schema) -> dict:
 
 
 def schema_from_dict(payload: dict) -> Schema:
-    """Check a schema document in one pass and build the Schema."""
+    """Build the Schema a schema document describes; AttributeSpec and Schema check its values."""
     if not isinstance(payload, dict):
         raise DataError("schema document must be a JSON object")
     if payload.get("version") != SCHEMA_FILE_VERSION:
         raise DataError(f"unsupported schema file version {payload.get('version')!r}")
-    entries, labels = payload.get("attributes", []), payload.get("outcome_labels", [])
+    entries = payload.get("attributes", [])
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise DataError("schema attributes must be a list of objects")
-    if not _is_str_list(labels):
-        raise DataError("schema outcome_labels must be a list of strings")
-    attrs = []
-    for j, entry in enumerate(entries):
-        name, weight, cats = entry.get("name"), entry.get("weight", 1.0), entry.get("categories")
-        if not isinstance(name, str):
-            raise DataError(f"schema attribute {j} needs a string name")
-        if not _is_finite_real(weight):
-            raise DataError(f"attribute {name!r} needs a finite weight >= 0")
-        if cats is not None and not _is_str_list(cats):
-            raise DataError(f"attribute {name!r} needs its categories as a list of strings")
-        attrs.append(AttributeSpec(name, entry.get("kind"), float(weight), None if cats is None else tuple(cats)))
-    return Schema(tuple(attrs), tuple(labels))
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    attrs = [AttributeSpec(entry.get("name"), entry.get("kind"), entry.get("weight", 1.0), entry.get("categories"))
+             for entry in entries]
+    return Schema(attrs, payload.get("outcome_labels", []))
 
 
 def load_schema(path) -> Schema:

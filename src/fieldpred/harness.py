@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dataset import (CATEGORICAL, AttributeSpec, Query, Schema, TrainingTable, _is_count, _is_finite_real, _is_int,
-                      _is_str_list, _read_json)
+                      _is_strings, _read_json)
 from .errors import HarnessError
 from .kernels import KERNEL_KINDS
 from .predictors import PREDICTOR_KINDS, FittedModel, fit, predict
@@ -74,20 +74,20 @@ class SyntheticSpec:
     conditionals: np.ndarray
 
     def __post_init__(self):
-        cards, labels, seed = tuple(self.cardinalities), self.labels, self.seed
-        if not (cards and all(map(_is_count, cards))):
-            raise HarnessError("cardinalities must be positive integers")
-        if not (isinstance(labels, (list, tuple)) and labels and len(set(labels)) == len(labels)):
-            raise HarnessError("labels must be a nonempty list or tuple of unique names")
+        cards, seed = _law_cardinalities(self.cardinalities, self.labels), self.seed
         if not (_is_int(seed) or isinstance(seed, np.integer)):
             raise HarnessError(f"seed must be an integer, got {seed!r}")
-        cards = tuple(map(int, cards))
         object.__setattr__(self, "cardinalities", cards)
-        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "seed", int(seed))
-        k = int(np.prod(cards))
-        probs = np.asarray(self.probs, dtype=np.float64)
-        cond = np.asarray(self.conditionals, dtype=np.float64)
+        k = math.prod(cards)
+        try:
+            probs, cond = np.asarray(self.probs), np.asarray(self.conditionals)
+        except ValueError:  # ragged nesting
+            probs = cond = np.empty(0, dtype=object)
+        if probs.dtype.kind not in "iuf" or cond.dtype.kind not in "iuf":  # not booleans, strings or objects
+            raise HarnessError("masses must be arrays of numbers")
+        probs, cond = probs.astype(np.float64), cond.astype(np.float64)
         if probs.shape != (k,):
             raise HarnessError(f"probs must have shape ({k},)")
         if cond.shape != (k, len(self.labels)):
@@ -113,10 +113,7 @@ class SyntheticSpec:
         return list(self._tuples)
 
     def tuple_index(self, values: Sequence[str]) -> int:
-        try:
-            return self._index[tuple(values)]
-        except KeyError:
-            raise HarnessError(f"tuple {tuple(values)!r} is not a point of this spec") from None
+        return _tuple_index(self._index, values, self.cardinalities)
 
     def schema(self) -> Schema:
         attrs = tuple(
@@ -130,6 +127,27 @@ class SyntheticSpec:
         return Schema(attrs, self.labels)
 
 
+def _tuple_index(index: dict, values, cards: tuple[int, ...]) -> int:
+    """The index of a tuple, given as a list or tuple of attribute values (strings, or ints that read as them)."""
+    key = tuple(map(str, values)) if isinstance(values, (list, tuple)) else None
+    if key not in index:
+        raise HarnessError(f"unknown tuple {values!r}: not a point of the law of cardinalities {cards}")
+    return index[key]
+
+
+def _law_cardinalities(cardinalities, labels) -> tuple[int, ...]:
+    """The cardinalities as ints, once they and the labels describe a law of at most MAX_LAW_TUPLES tuples."""
+    if (isinstance(labels, (list, tuple)) and not labels) or not (
+            isinstance(cardinalities, (list, tuple)) and cardinalities and all(map(_is_count, cardinalities))):
+        raise HarnessError("cardinalities must be positive integers and labels nonempty")
+    if not (_is_strings(labels) and len(set(labels)) == len(labels)):
+        raise HarnessError("labels must be a nonempty list or tuple of unique strings")
+    cards = tuple(map(int, cardinalities))
+    if math.prod(cards) > MAX_LAW_TUPLES:
+        raise HarnessError(f"a law of {math.prod(cards)} attribute tuples exceeds the limit of {MAX_LAW_TUPLES}")
+    return cards
+
+
 def make_spec(
     cardinalities: Sequence[int],
     labels: Sequence[str],
@@ -140,16 +158,11 @@ def make_spec(
     """Assemble a SyntheticSpec from user-facing pieces.
 
     ``attribute_distribution`` is "uniform" or a mapping tuple -> mass;
-    ``conditionals`` maps each reachable tuple to its outcome masses.
-    A conditional for an unreachable tuple, or a missing one for a
-    reachable tuple, is an error.
+    ``conditionals`` maps each reachable tuple to its outcome masses; each
+    mass is a finite int or float. A conditional for an unreachable tuple,
+    or a missing one for a reachable tuple, is an error.
     """
-    cards = tuple(cardinalities)
-    if not (cards and labels and all(map(_is_count, cards))):
-        raise HarnessError("cardinalities must be positive integers and labels nonempty")
-    cards = tuple(map(int, cards))
-    if math.prod(cards) > MAX_LAW_TUPLES:
-        raise HarnessError(f"a law of {math.prod(cards)} attribute tuples exceeds the limit of {MAX_LAW_TUPLES}")
+    cards = _law_cardinalities(cardinalities, labels)
     tuples = all_tuples(cards)
     index = {t: i for i, t in enumerate(tuples)}
     k = len(tuples)
@@ -160,27 +173,26 @@ def make_spec(
         if attribute_distribution != "uniform":
             raise HarnessError(f"unknown distribution descriptor {attribute_distribution!r}")
         probs[:] = 1.0 / k
+    elif isinstance(attribute_distribution, Mapping):
+        for key, mass in attribute_distribution.items():
+            i = _tuple_index(index, key, cards)
+            if not _is_finite_real(mass):
+                raise HarnessError(f"the mass of {tuples[i]!r} must be a finite real, got {mass!r}")
+            probs[i] = mass
     else:
-        for key, mass in dict(attribute_distribution).items():
-            t = tuple(str(v) for v in key)
-            if t not in index:
-                raise HarnessError(f"distribution names unknown tuple {t!r}")
-            probs[index[t]] = float(mass)
+        raise HarnessError("attribute_distribution must be 'uniform' or a mapping from tuple to mass")
 
-    if conditionals is None:
-        raise HarnessError("conditionals are required")
+    if not isinstance(conditionals, Mapping):
+        raise HarnessError("conditionals are required, as a mapping from tuple to outcome masses")
     cond = np.full((k, n_labels), 1.0 / n_labels, dtype=np.float64)
     covered = np.zeros(k, dtype=bool)
-    for key, masses in dict(conditionals).items():
-        t = tuple(str(v) for v in key)
-        if t not in index:
-            raise HarnessError(f"conditionals name unknown tuple {t!r}")
-        i = index[t]
+    for key, masses in conditionals.items():
+        i = _tuple_index(index, key, cards)
         if probs[i] == 0.0:
-            raise HarnessError(f"conditional given for unreachable tuple {t!r}")
-        if len(masses) != n_labels:
-            raise HarnessError(f"conditional for {t!r} must list {n_labels} masses")
-        cond[i] = np.asarray(masses, dtype=np.float64)
+            raise HarnessError(f"conditional given for unreachable tuple {tuples[i]!r}")
+        if not (isinstance(masses, (list, tuple)) and len(masses) == n_labels and all(map(_is_finite_real, masses))):
+            raise HarnessError(f"conditional for {tuples[i]!r} must list {n_labels} masses, each a finite real")
+        cond[i] = masses
         covered[i] = True
     missing = np.flatnonzero((probs > 0) & ~covered)
     if missing.size:
@@ -256,8 +268,6 @@ def bayes_optimal(spec: SyntheticSpec) -> tuple[Callable[[Sequence[str]], str], 
 def evaluate_accuracy(model: FittedModel, test_table: TrainingTable) -> float:
     """Fraction of test entries whose winner matches the recorded label; a
     label unknown to the model never does."""
-    if test_table.n_entries < 1:
-        raise HarnessError("empty test set")
     test_schema = test_table.schema
     if [(a.name, a.kind) for a in model.table.schema.attributes] != [(a.name, a.kind) for a in test_schema.attributes]:
         raise HarnessError("test table attributes do not match the model's schema")
@@ -384,22 +394,16 @@ def spec_to_dict(spec: SyntheticSpec) -> dict:
     }
 
 
-def _is_mass_list(value) -> bool:
-    return isinstance(value, list) and all(_is_finite_real(x) for x in value)
-
-
-def _tuple_map(records, key: str, is_value, what: str) -> dict:
-    """``[{"tuple": [...], key: value}, ...]`` as a dict from tuple to value."""
+def _tuple_map(records, key: str, what: str) -> dict:
+    """``[{"tuple": [...], key: value}, ...]`` as a dict from tuple (values as strings) to value, for make_spec."""
     if not (isinstance(records, list) and all(
-            isinstance(rec, dict) and isinstance(rec.get("tuple"), list)
-            and all(isinstance(v, str) or _is_int(v) for v in rec["tuple"])
-            and key in rec and is_value(rec[key]) for rec in records)):
+            isinstance(rec, dict) and isinstance(rec.get("tuple"), list) and key in rec for rec in records)):
         raise HarnessError(f"spec {what} must list objects with a 'tuple' list and {key!r}")
-    return {tuple(rec["tuple"]): rec[key] for rec in records}
+    return {tuple(map(str, rec["tuple"])): rec[key] for rec in records}
 
 
 def spec_from_dict(payload: dict) -> SyntheticSpec:
-    """Check a spec document's keys and types in one pass and build the spec."""
+    """Build the spec a spec document describes; ``make_spec`` and SyntheticSpec check its values."""
     if not isinstance(payload, dict):
         raise HarnessError("spec document must be a JSON object")
     if payload.get("version") != SPEC_FILE_VERSION:
@@ -407,18 +411,12 @@ def spec_from_dict(payload: dict) -> SyntheticSpec:
     for key in ("cardinalities", "labels", "attribute_distribution", "conditionals"):
         if key not in payload:
             raise HarnessError(f"spec file lacks the required key {key!r}")
-    cards, labels, seed = payload["cardinalities"], payload["labels"], payload.get("seed", 0)
-    if not (isinstance(cards, list) and all(_is_int(c) for c in cards)):
-        raise HarnessError("spec cardinalities must be a list of integers")
-    if not _is_str_list(labels):
-        raise HarnessError("spec labels must be a list of strings")
-    if not _is_int(seed):
-        raise HarnessError("spec seed must be an integer")
     dist = payload["attribute_distribution"]
     if not isinstance(dist, str):
-        dist = _tuple_map(dist, "mass", _is_finite_real, "attribute_distribution")
-    conditionals = _tuple_map(payload["conditionals"], "masses", _is_mass_list, "conditionals")
-    return make_spec(cards, labels, seed, attribute_distribution=dist, conditionals=conditionals)
+        dist = _tuple_map(dist, "mass", "attribute_distribution")
+    conditionals = _tuple_map(payload["conditionals"], "masses", "conditionals")
+    return make_spec(payload["cardinalities"], payload["labels"], payload.get("seed", 0),
+                     attribute_distribution=dist, conditionals=conditionals)
 
 
 def save_spec(spec: SyntheticSpec, path) -> None:

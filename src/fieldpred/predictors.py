@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real, _is_int, _read_json,
+from .dataset import (CATEGORICAL, Query, Schema, TrainingTable, _is_finite_real, _is_int, _is_strings, _read_json,
                       schema_from_dict, schema_to_dict)
 from .errors import PredictorError
 from .kernels import Kernel, kernel_from_dict, kernel_to_dict, make_kernel
@@ -58,9 +58,9 @@ class DensityModel:
     """Per-entry total superposition scores and the compensation factors.
 
     tss[j] is entry j's field as seen by the whole table (self term
-    included), sts their sum, stavg the per-entry average, and
-    dcf[j] = stavg / tss[j] scales crowded entries down and isolated
-    entries up.
+    included), sts their sum, stavg = sts / M the per-entry average, and
+    dcf[j] = sts / (M · tss[j]), which is stavg / tss[j] up to rounding,
+    scales crowded entries down and isolated entries up.
     """
 
     tss: np.ndarray
@@ -109,8 +109,14 @@ class FittedModel:
     votes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.predictor_kind not in PREDICTOR_KINDS:
-            raise PredictorError(f"unknown predictor kind {self.predictor_kind!r}")
+        kind, kernel, density, m = self.predictor_kind, self.kernel, self.density, self.table.n_entries
+        if kind not in PREDICTOR_KINDS:
+            raise PredictorError(f"unknown predictor kind {kind!r}")
+        if (kind == "rasturnat") != (kernel is not None):
+            raise PredictorError(f"predictor {kind!r} with kernel {kernel!r}: rasturnat needs a kernel, "
+                                 "and the other predictors take none")
+        if density is not None and not (kernel is not None and np.shape(density.tss) == np.shape(density.dcf) == (m,)):
+            raise PredictorError(f"a density goes only with a kernel, and needs the tss and dcf of all {m} entries")
         votes = self.table._label_counts
         if self.density is not None:
             votes = np.bincount(self.table._vote_cell, weights=self.density.dcf,
@@ -129,10 +135,9 @@ def fit(
     """Bind a predictor to a table; 'fitting' is bookkeeping, not training.
 
     ``kernel_kind`` is required for rasturnat and rejected otherwise, as are
-    ``density`` and ``mld_override``.
+    ``density`` and ``mld_override``. ``FittedModel`` refuses an unknown
+    predictor kind; ``density`` fits ``compute_density_model`` here.
     """
-    if predictor_kind not in PREDICTOR_KINDS:
-        raise PredictorError(f"unknown predictor kind {predictor_kind!r}")
     if predictor_kind != "rasturnat":
         if kernel_kind is not None:
             raise PredictorError("kernel is a rasturnat parameter; remove it for "
@@ -274,19 +279,24 @@ def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
             row_tss[start:end] += (k * multiplicity[start:]).sum(axis=1)
             row_tss[end:] += multiplicity[start:end] @ k[:, end - start:]
             start = end
-    tss = row_tss[table._distinct_of]
+    return _density(table, row_tss)
+
+
+def _density(table: TrainingTable, row_tss: np.ndarray) -> DensityModel:
+    """The density whose U per-row totals are ``row_tss``: sts is the correctly
+    rounded sum of the per-entry tss, and dcf divides it by M · tss."""
+    m, tss = table.n_entries, row_tss[table._distinct_of]
     try:
         if not np.isfinite(row_tss).all():
             raise OverflowError
-        sts = math.fsum(tss)
+        sts = math.fsum(tss.tolist())
     except OverflowError:
-        raise PredictorError(f"the density field overflows: the kernel's mld {kernel.mld} is too large "
-                             "for this table") from None
-    stavg = sts / m
-    # Algebraically stavg / tss, but dividing the fsum by m * tss keeps
-    # dcf at exactly 1.0 when every entry carries the same field.
-    dcf = sts / (m * tss)
-    return DensityModel(tss=tss, sts=sts, stavg=stavg, dcf=dcf)
+        raise PredictorError("the density field overflows: the kernel's mld is too large for this table") from None
+    # Algebraically stavg / tss, but dividing the fsum by m * tss keeps dcf at exactly 1.0 when
+    # every entry carries the same field. DensityModel refuses a dcf that is not positive and finite.
+    with np.errstate(all="ignore"):
+        dcf = sts / (m * tss)
+    return DensityModel(tss=tss, sts=sts, stavg=sts / m, dcf=dcf)
 
 
 def _packed(arr: np.ndarray, dtype: str | None = None) -> dict:
@@ -401,8 +411,7 @@ def _table(payload: dict, schema: Schema) -> TrainingTable:
         what = f"column {spec.name!r}"
         if spec.kind == CATEGORICAL:
             cats = column["categories"]
-            if not (isinstance(cats, list) and all(isinstance(c, str) for c in cats) and len(set(cats)) == len(cats)
-                    and spec.categories in (None, tuple(cats))):
+            if not (_is_strings(cats) and len(set(cats)) == len(cats) and spec.categories in (None, tuple(cats))):
                 raise PredictorError(f"model file: {what} needs the schema's categories in code order")
             vocabs.append({c: k for k, c in enumerate(cats)})
             data = _index_array(column["codes"], u, len(cats), f"{what} codes")
@@ -431,28 +440,21 @@ def _table(payload: dict, schema: Schema) -> TrainingTable:
 
 
 def _density_from_dict(payload, table: TrainingTable) -> DensityModel:
+    """The file's density, if it is ``_density`` of one tss per distinct row, bit for bit."""
     if not isinstance(payload, dict) or not (_is_finite_real(payload["sts"]) and _is_finite_real(payload["stavg"])):
         raise PredictorError("model file: density needs tss, dcf, and finite sts and stavg")
     m = table.n_entries
-    density = DensityModel(
-        tss=_real_array(payload["tss"], m, "density tss"),
-        sts=float(payload["sts"]),
-        stavg=float(payload["stavg"]),
-        dcf=_real_array(payload["dcf"], m, "density dcf"),
-    )
-    # One tss per distinct row, and the fit's own expressions, bit for bit (see compute_density_model).
-    if not np.array_equal(density.tss[table._distinct_entry][table._distinct_of], density.tss):
+    tss, dcf = _real_array(payload["tss"], m, "density tss"), _real_array(payload["dcf"], m, "density dcf")
+    density = _density(table, tss[table._distinct_entry])
+    if not np.array_equal(density.tss, tss):
         raise PredictorError("model file: density tss differs between entries of one distinct row")
-    with np.errstate(over="ignore"):
-        dcf = density.sts / (m * density.tss)
-    if not (density.sts == math.fsum(density.tss.tolist()) and density.stavg == density.sts / m
-            and np.array_equal(density.dcf, dcf)):
+    if not (density.sts == payload["sts"] and density.stavg == payload["stavg"] and np.array_equal(density.dcf, dcf)):
         raise PredictorError("model file: density sts, stavg and dcf disagree with tss")
     return density
 
 
 def model_from_dict(payload: dict) -> FittedModel:
-    """Check a model document in one pass and rebuild the fitted model.
+    """Check a model document's format in one pass and rebuild the model, whose constructor checks the pairings.
 
     Version 5 files are written by ``model_to_dict``; version 4 files, whose
     columns are all ``<f8``, read through the same path. Versions 1 to 3 are
@@ -477,10 +479,6 @@ def model_from_dict(payload: dict) -> FittedModel:
             density = _density_from_dict(payload["density"], table)
     except KeyError as exc:
         raise PredictorError(f"model file lacks the required key {exc}") from None
-    if predictor not in PREDICTOR_KINDS or (predictor == "rasturnat") != (kernel is not None):
-        raise PredictorError(f"model file holds predictor {predictor!r} with kernel {payload.get('kernel')!r}")
-    if density is not None and kernel is None:
-        raise PredictorError("model file holds a density for a predictor without a kernel")
     if ("counts" in payload) == (density is not None):
         raise PredictorError("model file: counts without a density, else entry_row and outcomes")
     return FittedModel(table, predictor, kernel=kernel, density=density)

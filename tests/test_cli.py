@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldpred import KERNEL_KINDS, counterexample_spec, fit, load_model, make_spec, predict, save_spec
+from fieldpred import (KERNEL_KINDS, AttributeSpec, DataError, Schema, counterexample_spec, fit, load_model, make_spec,
+                       predict, save_spec)
 from fieldpred.cli import main
 from fieldpred.dataset import load_table, schema_to_dict
 from fieldpred.harness import all_tuples, spec_to_dict
@@ -330,7 +331,7 @@ def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, c
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("corrupt", [
+SCHEMA_CORRUPTIONS = [
     pytest.param(lambda payload: payload["attributes"][0].pop("name"), id="unnamed-attribute"),
     pytest.param(lambda payload: payload["attributes"][1].update(kind=None), id="null-kind"),
     pytest.param(lambda payload: payload["attributes"][1].update(weight=None), id="null-weight"),
@@ -338,7 +339,10 @@ def test_corrupted_model_file_is_an_input_error(corrupt, train_file, tmp_path, c
     pytest.param(lambda payload: payload["attributes"][0].update(categories="red"), id="string-categories"),
     pytest.param(lambda payload: payload.update(attributes={}), id="attributes-not-a-list"),
     pytest.param(lambda payload: payload.update(outcome_labels=[1, 2]), id="numeric-labels"),
-])
+]
+
+
+@pytest.mark.parametrize("corrupt", SCHEMA_CORRUPTIONS)
 def test_corrupted_schema_file_is_an_input_error(corrupt, train_file, tmp_path, capsys):
     payload = schema_to_dict(load_table(train_file).schema)
     corrupt(payload)
@@ -346,6 +350,20 @@ def test_corrupted_schema_file_is_an_input_error(corrupt, train_file, tmp_path, 
     path.write_text(json.dumps(payload))
     assert main(["fit", "--train", train_file, "--predictor", "delanga", "--schema", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("corrupt", SCHEMA_CORRUPTIONS)
+def test_corrupted_schema_values_are_refused_by_the_constructors(corrupt, train_file):
+    # The same values, given to AttributeSpec and Schema by hand: a file the
+    # reader refuses holds nothing the types accept.
+    payload = schema_to_dict(load_table(train_file).schema)
+    corrupt(payload)
+    attributes = payload["attributes"]
+    with pytest.raises(DataError):
+        if isinstance(attributes, list):
+            attributes = [AttributeSpec(entry.get("name"), entry.get("kind"), entry.get("weight", 1.0),
+                                        entry.get("categories")) for entry in attributes]
+        Schema(attributes, payload["outcome_labels"])
 
 
 @pytest.mark.parametrize("source, predictor, kernel", [

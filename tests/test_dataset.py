@@ -247,6 +247,43 @@ def test_schema_rejects_bad_weights_and_duplicates():
         Schema((AttributeSpec("a", "categorical"),), ())
     with pytest.raises(DataError):
         Schema((AttributeSpec("a", "categorical", weight=0.0),), ("x",))
+    # What a schema file cannot hold is refused here too, not coerced.
+    for attributes, labels in [(("x",), ("A",)), ({AttributeSpec("a", "categorical")}, ("A",)),
+                               ((AttributeSpec("a", "categorical"),), (1, 2)),
+                               ((AttributeSpec("a", "categorical"),), "AB")]:
+        with pytest.raises(DataError, match="schema attributes must be|schema outcome_labels must be"):
+            Schema(attributes, labels)
+    with pytest.raises(DataError, match="attribute name 5 must be a string"):
+        AttributeSpec(5, "categorical")
+    for categories in ("ab", ["a", 1], {"a": 0}):
+        with pytest.raises(DataError, match="needs its categories as a list or tuple of strings"):
+            AttributeSpec("x", "categorical", categories=categories)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_schema_the_constructors_accept_round_trips_through_a_schema_file(data):
+    # Valid values, then perhaps one of them replaced by a value of another type.
+    n = data.draw(st.integers(0, 4), label="attributes")
+    texts = st.lists(st.text(max_size=3), max_size=4, unique=True)
+    fields = {
+        "name": data.draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)),
+        "kind": data.draw(st.lists(st.sampled_from(["categorical", "continuous"]), min_size=n, max_size=n)),
+        "weight": data.draw(st.lists(st.floats(0, 1e300) | st.integers(0, 10**6), min_size=n, max_size=n)),
+        "categories": data.draw(st.lists(st.none() | texts, min_size=n, max_size=n)),
+        "labels": data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True)),
+    }
+    where = data.draw(st.sampled_from([None, *fields]), label="where")
+    if where is not None and fields[where]:
+        fields[where][0] = data.draw(st.integers(-2, 2) | st.booleans() | st.none() | st.text(max_size=3), label="odd")
+    attributes = zip(fields["name"], fields["kind"], fields["weight"], fields["categories"])
+    try:
+        schema = Schema([AttributeSpec(name, kind, weight, categories if kind == "categorical" else None)
+                         for name, kind, weight, categories in attributes], fields["labels"])
+    except DataError:
+        return
+    assert schema_from_dict(json.loads(json.dumps(schema_to_dict(schema)))) == schema
+    assert all(type(spec.weight) is float for spec in schema.attributes)
 
 
 def test_training_table_validates_cells():

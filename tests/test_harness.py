@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,8 @@ from fieldpred.harness import (
     all_tuples,
     generate_point_test,
     report_to_csv,
+    spec_from_dict,
+    spec_to_dict,
 )
 from fieldpred.kernels import KERNEL_KINDS
 
@@ -105,13 +108,13 @@ class TestMakeSpec:
                 conditionals={("0",): [1, 0, 0], ("1",): [1, 0]},
             )
 
-    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, True, "0.5"], ids=repr)
     def test_non_finite_tuple_mass_rejected(self, mass):
         with pytest.raises(HarnessError, match="finite"):
             make_spec((2,), ("+", "-"), 1, attribute_distribution={("0",): mass, ("1",): 0.5},
                       conditionals={("0",): [1, 0], ("1",): [1, 0]})
 
-    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, True, "x"], ids=repr)
     def test_non_finite_conditional_mass_rejected(self, mass):
         with pytest.raises(HarnessError, match="finite"):
             make_spec((2,), ("+", "-"), 1, conditionals={("0",): [mass, 0.5], ("1",): [1, 0]})
@@ -132,14 +135,31 @@ class TestMakeSpec:
         with pytest.raises(HarnessError, match="labels must be a nonempty list or tuple"):
             make_spec([2], "+-", 1, conditionals={("0",): [1, 0], ("1",): [0, 1]})
 
-    @pytest.mark.parametrize("cards, labels, seed, match", [
-        pytest.param((2.5,), ("A", "B"), 1, "cardinalities must be positive integers", id="fractional-cardinality"),
-        pytest.param((2,), ("A", "B"), "x", "seed must be an integer", id="string-seed"),
-        pytest.param((2,), "AB", 1, "labels must be a nonempty list or tuple", id="string-labels"),
+    @pytest.mark.parametrize("changes, match", [
+        pytest.param({"cardinalities": (2.5,)}, "cardinalities must be positive integers", id="fractional-cardinality"),
+        pytest.param({"seed": "x"}, "seed must be an integer", id="string-seed"),
+        pytest.param({"labels": "AB"}, "labels must be a nonempty list or tuple", id="string-labels"),
+        pytest.param({"labels": (1, 2)}, "labels must be a nonempty list or tuple", id="integer-labels"),
+        pytest.param({"probs": ["a", 0.5]}, "masses must be arrays of numbers", id="string-mass"),
+        pytest.param({"probs": [True, False]}, "masses must be arrays of numbers", id="boolean-masses"),
+        pytest.param({"conditionals": [[1.0, 0.0], [0.0]]}, "masses must be arrays of numbers", id="ragged-masses"),
     ])
-    def test_the_spec_refuses_what_it_used_to_coerce(self, cards, labels, seed, match):
+    def test_the_spec_refuses_what_it_used_to_coerce(self, changes, match):
+        args = {"cardinalities": (2,), "labels": ("A", "B"), "seed": 1, "probs": np.array([0.5, 0.5]),
+                "conditionals": np.array([[1.0, 0.0], [0.0, 1.0]])}
         with pytest.raises(HarnessError, match=match):
-            SyntheticSpec(cards, labels, seed, np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+            SyntheticSpec(**{**args, **changes})
+
+    @pytest.mark.parametrize("distribution, conditionals, match", [
+        pytest.param(5, {}, "'uniform' or a mapping", id="number-distribution"),
+        pytest.param("uniform", 5, "conditionals are required, as a mapping", id="number-conditionals"),
+        pytest.param("uniform", {("0", "0"): 5}, "must list 2 masses", id="number-conditional"),
+        # The key "10" used to be read as the tuple ("1", "0").
+        pytest.param({"10": 1.0}, {("1", "0"): [1, 0]}, "unknown tuple '10'", id="string-key"),
+    ])
+    def test_make_spec_refuses_arguments_it_used_to_coerce_or_crash_on(self, distribution, conditionals, match):
+        with pytest.raises(HarnessError, match=match):
+            make_spec((2, 2), ("A", "B"), 1, distribution, conditionals)
 
     def test_conditional_rows_must_sum_to_one(self):
         with pytest.raises(HarnessError, match="sum"):
@@ -527,6 +547,34 @@ class TestBuiltinSpecs:
         _, b1 = bayes_optimal(spec)
         _, b2 = bayes_optimal(back)
         assert b1 == b2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_law_make_spec_accepts_round_trips_through_a_spec_file(data):
+    cards = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="cards")
+    labels = data.draw(st.lists(st.text(max_size=3) | st.integers(0, 3), min_size=1, max_size=3, unique=True),
+                       label="labels")
+    tuples = all_tuples(cards)
+    weights = data.draw(st.lists(st.integers(0, 5), min_size=len(tuples), max_size=len(tuples)).filter(any))
+    # Keys are tuples of strings, or of the ints they read as.
+    keys = [tuple(map(int, t)) if data.draw(st.booleans()) else t for t in tuples]
+    distribution = "uniform" if data.draw(st.booleans()) else {
+        key: w / sum(weights) for key, w in zip(keys, weights) if w}
+    conditionals = {}
+    for key, w in zip(keys, weights):
+        if w or distribution == "uniform":
+            masses = data.draw(st.lists(st.integers(0, 5), min_size=len(labels), max_size=len(labels)).filter(any))
+            conditionals[key] = [m / sum(masses) for m in masses]
+    seed = data.draw(st.integers(-(2**70), 2**70), label="seed")
+    try:
+        spec = make_spec(cards, labels, seed, distribution, conditionals)
+    except HarnessError:
+        return
+    back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    assert (back.cardinalities, back.labels, back.seed) == (spec.cardinalities, spec.labels, spec.seed)
+    assert back.probs.tobytes() == spec.probs.tobytes()
+    assert back.conditionals.tobytes() == spec.conditionals.tobytes()
 
 
 @settings(max_examples=120, deadline=None)

@@ -242,8 +242,23 @@ class TestFit:
             fit(two_bit_table(THREE_ROWS), "centroid")
 
     def test_model_of_unknown_kind_rejected(self):
+        table = two_bit_table(THREE_ROWS)
         with pytest.raises(PredictorError, match="unknown predictor"):
-            FittedModel(two_bit_table(THREE_ROWS), "centroid")
+            FittedModel(table, "centroid")
+        # Each pairing that no model file holds: the kernel goes with rasturnat
+        # alone, a density with a kernel, and the density is the table's own size.
+        kernel = make_kernel("bridge", table.n_entries)
+        density = compute_density_model(table, kernel)
+        other = two_bit_table(THREE_ROWS[:2])
+        for model_table, kind, model_kernel, model_density, match in [
+            (table, "rasturnat", None, None, "rasturnat needs a kernel"),
+            (table, "delanga", kernel, None, "the other predictors take none"),
+            (table, "nearest", kernel, density, "the other predictors take none"),
+            (table, "delanga", None, density, "a density goes only with a kernel"),
+            (other, "rasturnat", make_kernel("bridge", 2), density, "needs the tss and dcf of all 2 entries"),
+        ]:
+            with pytest.raises(PredictorError, match=match):
+                FittedModel(model_table, kind, kernel=model_kernel, density=model_density)
 
 
 class TestDensity:
@@ -894,6 +909,36 @@ def test_round_trip_matches_the_fitted_model(seed, predictor, kernel, density):
     for query in queries:
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(loaded, query))
         assert prediction_bits(predict(model, query)) == prediction_bits(predict(unscaled, query))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(predictors.PREDICTOR_KINDS),
+       st.sampled_from([None, "bridge", "newton", "spliced"]), st.booleans())
+def test_every_model_the_constructor_accepts_loads_back_to_the_same_predictions(seed, predictor, kernel_kind, density):
+    table, queries = random_mixed_instance(np.random.default_rng(seed))
+    kernel = None if kernel_kind is None else make_kernel(kernel_kind, table.n_entries)
+    density_model = compute_density_model(table, kernel or make_kernel("bridge", table.n_entries)) if density else None
+    try:
+        model = FittedModel(table, predictor, kernel=kernel, density=density_model)
+    except PredictorError:
+        assert (predictor == "rasturnat") != (kernel is not None) or (density and kernel is None)
+        return
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    assert (loaded.predictor_kind, loaded.kernel, loaded.density is None) == (predictor, kernel, not density)
+    for query in queries:
+        assert prediction_bits(predict(loaded, query)) == prediction_bits(predict(model, query))
+
+
+def test_a_density_whose_tss_sum_overflows_is_refused(tmp_path, capsys):
+    # Each tss is finite, but their sum is not: the file is refused as a fit of such a table would be.
+    payload = model_to_dict(fit(load_table(DATA / "mixed_train.csv"), "rasturnat", "bridge", density=True))
+    payload["density"]["tss"] = [1e308] * payload["n_entries"]
+    with pytest.raises(PredictorError, match="density field overflows"):
+        model_from_dict(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    assert main(["predict", "--model", str(path), "--query", "red,1.5,round"]) == 1
+    assert capsys.readouterr().err.startswith("error: the density field overflows")
 
 
 def reference_scale(values: list[float]) -> tuple[int, list[int]] | None:
