@@ -98,10 +98,7 @@ def cmd_fit(args) -> int:
         print(line)
         cert = kernels.certify_lead(k, table.n_entries)
         flag = "true" if cert.certified else "false"
-        print(
-            f"lead: sepm={cert.sepm:.6f} seap={cert.seap:.6f} "
-            f"maxsap={cert.maxsap:.6f} certified: {flag}"
-        )
+        print(f"lead: sepm={cert.sepm:.6f} seap={cert.seap:.6f} maxsap={cert.maxsap:.6f} certified: {flag}")
     if args.out:
         predictors.save_model(model, args.out)
         print(f"model written to {args.out}")
@@ -160,16 +157,8 @@ def cmd_eval(args) -> int:
 
 
 def _parse_arms(text: str) -> list[tuple[str, str | None]]:
-    arms: list[tuple[str, str | None]] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            predictor, kernel = part.split(":", 1)
-            arms.append((predictor, kernel))
-        else:
-            arms.append((part, None))
+    arms = [tuple(part.split(":", 1)) if ":" in part else (part, None)
+            for part in map(str.strip, text.split(",")) if part]
     if not arms:
         raise _UsageError("no arms given")
     return arms

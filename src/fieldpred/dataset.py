@@ -154,6 +154,8 @@ class Query:
     values: tuple
 
     def __post_init__(self):
+        if not isinstance(self.values, (list, tuple)):
+            raise DataError(f"query values must be a list or tuple of cells, got {type(self.values).__name__}")
         object.__setattr__(self, "values", tuple(self.values))
 
 
@@ -169,6 +171,8 @@ class TrainingTable:
     """
 
     def __init__(self, schema: Schema, values: Iterable[Sequence], outcomes: Iterable[int]):
+        if not isinstance(schema, Schema):
+            raise DataError(f"a table needs a Schema, got {type(schema).__name__}")
         rows = [tuple(row) for row in values]
         outcome_list = list(outcomes)
         if not rows:
@@ -308,9 +312,7 @@ class TrainingTable:
         """Typed query cells to per-column codes/floats; unseen categories map to -1."""
         cells = query.values
         if len(cells) != self.n_attributes:
-            raise DataError(
-                f"query has {len(cells)} cells, schema has {self.n_attributes} attributes"
-            )
+            raise DataError(f"query has {len(cells)} cells, schema has {self.n_attributes} attributes")
         encoded = []
         for j, spec in enumerate(self.schema.attributes):
             cell = cells[j]
@@ -533,17 +535,13 @@ def validate_query(raw_cells: Sequence[str], schema: Schema) -> Query:
     continuous cells must parse as finite reals; arity must match.
     """
     if len(raw_cells) != schema.n_attributes:
-        raise DataError(
-            f"query has {len(raw_cells)} cells, schema has {schema.n_attributes} attributes"
-        )
+        raise DataError(f"query has {len(raw_cells)} cells, schema has {schema.n_attributes} attributes")
     typed = []
     for cell, spec in zip(raw_cells, schema.attributes):
         if spec.kind == CONTINUOUS:
             value = _parse_finite(cell)
             if value is None:
-                raise DataError(
-                    f"cannot parse continuous cell {cell!r} for attribute {spec.name!r}"
-                )
+                raise DataError(f"cannot parse continuous cell {cell!r} for attribute {spec.name!r}")
             typed.append(value)
         else:
             typed.append(cell)

@@ -85,7 +85,9 @@ class SyntheticSpec:
             probs, cond = np.asarray(self.probs), np.asarray(self.conditionals)
         except ValueError:  # ragged nesting
             probs = cond = np.empty(0, dtype=object)
-        if probs.dtype.kind not in "iuf" or cond.dtype.kind not in "iuf":  # not booleans, strings or objects
+        # Numbers, not booleans, strings or objects; numpy reads True among floats as 1.0, so each cell is typed.
+        typed = {type(x) for mass in (self.probs, self.conditionals) for x in np.asarray(mass, dtype=object).flat}
+        if probs.dtype.kind not in "iuf" or cond.dtype.kind not in "iuf" or bool in typed or np.bool_ in typed:
             raise HarnessError("masses must be arrays of numbers")
         probs, cond = probs.astype(np.float64), cond.astype(np.float64)
         if probs.shape != (k,):
@@ -268,6 +270,8 @@ def bayes_optimal(spec: SyntheticSpec) -> tuple[Callable[[Sequence[str]], str], 
 def evaluate_accuracy(model: FittedModel, test_table: TrainingTable) -> float:
     """Fraction of test entries whose winner matches the recorded label; a
     label unknown to the model never does."""
+    if not (isinstance(model, FittedModel) and isinstance(test_table, TrainingTable)):
+        raise HarnessError("evaluate_accuracy takes a FittedModel and a TrainingTable")
     test_schema = test_table.schema
     if [(a.name, a.kind) for a in model.table.schema.attributes] != [(a.name, a.kind) for a in test_schema.attributes]:
         raise HarnessError("test table attributes do not match the model's schema")
@@ -364,16 +368,12 @@ def summarize_final_regret(rows: Sequence[ConvergenceReportRow]) -> list[tuple[s
     if not rows:
         return []
     final_m = max(r.m for r in rows)
-    order: list[str] = []
-    regrets: dict[str, list[float]] = {}
+    regrets: dict[str, list[float]] = {}  # in first-seen arm order
     for r in rows:
-        arm = r.predictor if not r.kernel else f"{r.predictor}:{r.kernel}"
-        if arm not in regrets:
-            order.append(arm)
-            regrets[arm] = []
+        values = regrets.setdefault(r.predictor if not r.kernel else f"{r.predictor}:{r.kernel}", [])
         if r.m == final_m:
-            regrets[arm].append(r.regret)
-    return [(arm, final_m, math.fsum(regrets[arm]) / len(regrets[arm])) for arm in order]
+            values.append(r.regret)
+    return [(arm, final_m, math.fsum(values) / len(values)) for arm, values in regrets.items()]
 
 
 def spec_to_dict(spec: SyntheticSpec) -> dict:

@@ -145,8 +145,8 @@ class Kernel:
         if self.mld <= floor:
             raise KernelError(f"{self.kind} needs mld > {floor}, got {self.mld}")
         if self.kind == "spliced":
-            if self.base is None:
-                raise KernelError("spliced kernel needs a base kernel")
+            if not isinstance(self.base, Kernel):
+                raise KernelError(f"spliced kernel needs a base kernel, got {self.base!r}")
             if self.base.kind == "spliced":
                 raise KernelError(_SPLICED_BASE)
         if self.kind == "adj_pow_2":

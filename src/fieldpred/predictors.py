@@ -55,22 +55,49 @@ _DENSITY_BLOCK_CELLS = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class DensityModel:
-    """Per-entry total superposition scores and the compensation factors.
+    """The density of ``table``, from ``row_tss``: each distinct row's total field as seen by
+    the whole table (its own terms included), one per row in canonical order.
 
-    tss[j] is entry j's field as seen by the whole table (self term
-    included), sts their sum, stavg = sts / M the per-entry average, and
-    dcf[j] = sts / (M · tss[j]), which is stavg / tss[j] up to rounding,
-    scales crowded entries down and isolated entries up.
+    The constructor derives the rest and refuses a field that overflows or is not positive:
+    sts, the correctly rounded sum of the M per-entry totals, stavg = sts / M, and
+    row_dcf = sts / (M · row_tss), which scales crowded rows down and isolated rows up.
+    ``tss`` and ``dcf`` are read-only per-entry views, ``row_*[table._distinct_of]``.
     """
 
-    tss: np.ndarray
-    sts: float
-    stavg: float
-    dcf: np.ndarray
+    table: TrainingTable
+    row_tss: np.ndarray
+    sts: float = field(init=False)
+    stavg: float = field(init=False)
+    row_dcf: np.ndarray = field(init=False, repr=False)
+    tss: np.ndarray = field(init=False, repr=False)
+    dcf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.sts > 0 and all(np.all(np.isfinite(a) & (a > 0)) for a in (self.tss, self.dcf))):
+        if not isinstance(self.table, TrainingTable):
+            raise PredictorError(f"a density needs a TrainingTable, got {type(self.table).__name__}")
+        m, rows, u = self.table.n_entries, self.table._distinct_of, self.table._distinct_entry.size
+        try:
+            row_tss = np.asarray(self.row_tss)
+        except ValueError:  # ragged nesting
+            row_tss = np.empty(0, dtype=object)
+        if row_tss.dtype.kind not in "iuf" or row_tss.shape != (u,):
+            raise PredictorError(f"a density needs {u} numbers, one tss per distinct row of its table")
+        row_tss = row_tss.astype(np.float64)  # a copy, which the caller cannot change
+        try:
+            if not np.isfinite(row_tss).all():
+                raise OverflowError
+            sts = math.fsum(row_tss[rows].tolist())
+        except OverflowError:
+            raise PredictorError("the density field overflows: the kernel's mld is too large for this table") from None
+        with np.errstate(all="ignore"):  # sts / (m * tss), not stavg / tss, keeps dcf at exactly 1.0 on equal fields
+            row_dcf = sts / (m * row_tss)
+        if not (sts > 0 and np.all(np.isfinite(row_dcf) & (row_dcf > 0))):
             raise PredictorError("density scores must be positive and finite")
+        for name, value in (("row_tss", row_tss), ("row_dcf", row_dcf), ("tss", row_tss[rows]), ("dcf", row_dcf[rows])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "sts", sts)
+        object.__setattr__(self, "stavg", sts / m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +136,22 @@ class FittedModel:
     votes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        kind, kernel, density, m = self.predictor_kind, self.kernel, self.density, self.table.n_entries
+        table, kind, kernel, density = self.table, self.predictor_kind, self.kernel, self.density
+        if not isinstance(table, TrainingTable):
+            raise PredictorError(f"a model needs a TrainingTable, got {type(table).__name__}")
         if kind not in PREDICTOR_KINDS:
             raise PredictorError(f"unknown predictor kind {kind!r}")
         if (kind == "rasturnat") != (kernel is not None):
             raise PredictorError(f"predictor {kind!r} with kernel {kernel!r}: rasturnat needs a kernel, "
                                  "and the other predictors take none")
-        if density is not None and not (kernel is not None and np.shape(density.tss) == np.shape(density.dcf) == (m,)):
-            raise PredictorError(f"a density goes only with a kernel, and needs the tss and dcf of all {m} entries")
-        votes = self.table._label_counts
-        if self.density is not None:
-            votes = np.bincount(self.table._vote_cell, weights=self.density.dcf,
-                                minlength=votes.size).reshape(votes.shape)
+        if kernel is not None and not callable(getattr(kernel, "evaluate", None)):
+            raise PredictorError(f"kernel {kernel!r} has no evaluate method")
+        if density is not None and not (kernel is not None and isinstance(density, DensityModel)
+                                        and density.table is table):
+            raise PredictorError("a density goes only with a kernel, and only on the table it was fit to")
+        votes = table._label_counts
+        if density is not None:
+            votes = np.bincount(table._vote_cell, weights=density.dcf, minlength=votes.size).reshape(votes.shape)
         object.__setattr__(self, "votes", votes)
 
 
@@ -158,6 +189,8 @@ def fit(
 def predict(model: FittedModel, query: Query) -> Prediction:
     """Score the query against the U distinct rows and reduce by the model's rule;
     delanga and nearest reduce the champion rows that ``nearest_rows`` finds."""
+    if not (isinstance(model, FittedModel) and isinstance(query, Query)):
+        raise PredictorError("predict takes a FittedModel and a Query")
     if model.predictor_kind == "rasturnat":
         return _predict_field(model, match_vectors(query, model.table)[1])
     return _predict_champions(model, query, nearest_rows(query, model.table)[0])
@@ -165,6 +198,8 @@ def predict(model: FittedModel, query: Query) -> Prediction:
 
 def explain(model: FittedModel, query: Query) -> PredictionTrace:
     """The level table behind ``predict(model, query)``, from a scan of all U distinct rows."""
+    if not (isinstance(model, FittedModel) and isinstance(query, Query)):
+        raise PredictorError("explain takes a FittedModel and a Query")
     return _level_table(model, match_vectors(query, model.table)[1])
 
 
@@ -265,7 +300,6 @@ def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
     correctly rounded sum of its U terms. Identical entries share one tss,
     which includes the entry's own term.
     """
-    m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
     n_rows = multiplicity.size
     row_tss = np.zeros(n_rows, dtype=np.float64)
@@ -279,24 +313,7 @@ def compute_density_model(table: TrainingTable, kernel: Kernel) -> DensityModel:
             row_tss[start:end] += (k * multiplicity[start:]).sum(axis=1)
             row_tss[end:] += multiplicity[start:end] @ k[:, end - start:]
             start = end
-    return _density(table, row_tss)
-
-
-def _density(table: TrainingTable, row_tss: np.ndarray) -> DensityModel:
-    """The density whose U per-row totals are ``row_tss``: sts is the correctly
-    rounded sum of the per-entry tss, and dcf divides it by M · tss."""
-    m, tss = table.n_entries, row_tss[table._distinct_of]
-    try:
-        if not np.isfinite(row_tss).all():
-            raise OverflowError
-        sts = math.fsum(tss.tolist())
-    except OverflowError:
-        raise PredictorError("the density field overflows: the kernel's mld is too large for this table") from None
-    # Algebraically stavg / tss, but dividing the fsum by m * tss keeps dcf at exactly 1.0 when
-    # every entry carries the same field. DensityModel refuses a dcf that is not positive and finite.
-    with np.errstate(all="ignore"):
-        dcf = sts / (m * tss)
-    return DensityModel(tss=tss, sts=sts, stavg=sts / m, dcf=dcf)
+    return DensityModel(table, row_tss)
 
 
 def _packed(arr: np.ndarray, dtype: str | None = None) -> dict:
@@ -328,7 +345,8 @@ def model_to_dict(model: FittedModel) -> dict:
     ]
     entries = ({"counts": _packed(table._label_counts.T)} if model.density is None
                else {"entry_row": _packed(table._distinct_of), "outcomes": _packed(table._outcomes)})
-    payload: dict = {
+    density = model.density
+    return {
         "version": MODEL_FILE_VERSION,
         "predictor": model.predictor_kind,
         "schema": schema_to_dict(table.schema),
@@ -337,16 +355,9 @@ def model_to_dict(model: FittedModel) -> dict:
         "columns": columns,
         **entries,
         "kernel": kernel_to_dict(model.kernel) if model.kernel is not None else None,
-        "density": None,
+        "density": None if density is None else {"tss": density.tss.tolist(), "sts": density.sts,
+                                                 "stavg": density.stavg, "dcf": density.dcf.tolist()},
     }
-    if model.density is not None:
-        payload["density"] = {
-            "tss": model.density.tss.tolist(),
-            "sts": model.density.sts,
-            "stavg": model.density.stavg,
-            "dcf": model.density.dcf.tolist(),
-        }
-    return payload
 
 
 def _array(value, kinds: str, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -440,12 +451,11 @@ def _table(payload: dict, schema: Schema) -> TrainingTable:
 
 
 def _density_from_dict(payload, table: TrainingTable) -> DensityModel:
-    """The file's density, if it is ``_density`` of one tss per distinct row, bit for bit."""
+    """The file's density, if it is the ``DensityModel`` of one tss per distinct row, bit for bit."""
     if not isinstance(payload, dict) or not (_is_finite_real(payload["sts"]) and _is_finite_real(payload["stavg"])):
         raise PredictorError("model file: density needs tss, dcf, and finite sts and stavg")
-    m = table.n_entries
-    tss, dcf = _real_array(payload["tss"], m, "density tss"), _real_array(payload["dcf"], m, "density dcf")
-    density = _density(table, tss[table._distinct_entry])
+    tss, dcf = (_real_array(payload[key], table.n_entries, f"density {key}") for key in ("tss", "dcf"))
+    density = DensityModel(table, tss[table._distinct_entry])
     if not np.array_equal(density.tss, tss):
         raise PredictorError("model file: density tss differs between entries of one distinct row")
     if not (density.sts == payload["sts"] and density.stavg == payload["stavg"] and np.array_equal(density.dcf, dcf)):

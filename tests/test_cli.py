@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldpred import (KERNEL_KINDS, AttributeSpec, DataError, Schema, counterexample_spec, fit, load_model, make_spec,
-                       predict, save_spec)
+from fieldpred import (KERNEL_KINDS, AttributeSpec, DataError, Schema, counterexample_spec, fit, kernels, load_model,
+                       make_spec, predict, save_spec)
 from fieldpred.cli import main
 from fieldpred.dataset import load_table, schema_to_dict
 from fieldpred.harness import all_tuples, spec_to_dict
@@ -116,6 +116,10 @@ class TestFit:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_spliced_kernel_names_its_base(self, train_file, capsys):
+        assert main(["fit", "--train", train_file, "--predictor", "rasturnat", "--kernel", "spliced"]) == 0
+        assert "kernel: kind=spliced mld=5.000000 base=pow_2\n" in capsys.readouterr().out
 
     def test_mld_rejected_off_rasturnat(self, train_file, capsys):
         code = main(
@@ -529,6 +533,23 @@ def test_deeply_nested_document_is_an_input_error(flag, train_file, tmp_path, ca
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, message", [("--model", "model document must be a JSON object"),
+                                           ("--schema", "schema document must be a JSON object"),
+                                           ("--spec", "spec document must be a JSON object")])
+@pytest.mark.parametrize("text", ["[]", "5", '"model"', "null"])
+def test_a_document_that_is_not_an_object_is_an_input_error(flag, message, text, train_file, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = {
+        "--model": ["predict", "--model", str(path), "--query", "red,1.5"],
+        "--schema": ["fit", "--train", train_file, "--predictor", "delanga", "--schema", str(path)],
+        "--spec": ["converge", "--spec", str(path), "--arms", "delanga", "--schedule", "5",
+                   "--out", str(tmp_path / "report.csv")],
+    }[flag]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_oversized_quoted_cell_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "train.csv"
     path.write_text('color,label\nred,yes\n"' + "x" * 131073 + '",no\n')
@@ -735,13 +756,20 @@ class TestConverge:
         assert code == 1
         assert "rasturnat" in captured.err
 
-    @pytest.mark.parametrize("arms", ["delanga,rasturnat:nope", "delanga,centroid"])
+    @pytest.mark.parametrize("arms", ["delanga,rasturnat:nope", "delanga,centroid", ", ,"])
     def test_arms_are_checked_before_any_arm_runs(self, arms, spec_file, tmp_path, capsys):
         code = main(["converge", "--spec", spec_file, "--arms", arms, "--schedule", "5",
                      "--out", str(tmp_path / "r.csv")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "running arm" not in err
+
+    @pytest.mark.parametrize("schedule", ["1,x", "5,2.5", "5;10"])
+    def test_a_schedule_that_is_not_whole_numbers_is_a_usage_error(self, schedule, spec_file, tmp_path, capsys):
+        code = main(["converge", "--spec", spec_file, "--arms", "delanga", "--schedule", schedule,
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad --schedule {schedule!r}\n"
 
 
 class TestKernels:
@@ -793,6 +821,16 @@ class TestTopLevel:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+
+    def test_an_internal_fault_exits_2(self, monkeypatch, capsys):
+        def fault(kernel, n_entries):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(kernels, "certify_lead", fault)
+        assert main(["kernels", "check", "--m", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: injected\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

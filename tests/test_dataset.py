@@ -18,6 +18,7 @@ from fieldpred import (
     TrainingTable,
     fit,
     load_table,
+    predict,
     validate_query,
 )
 from fieldpred import dataset, predictors
@@ -258,6 +259,13 @@ def test_schema_rejects_bad_weights_and_duplicates():
     for categories in ("ab", ["a", 1], {"a": 0}):
         with pytest.raises(DataError, match="needs its categories as a list or tuple of strings"):
             AttributeSpec("x", "categorical", categories=categories)
+    for kwargs, match in [({"kind": "continuous", "categories": ("a",)}, "categories given for continuous"),
+                          ({"kind": "categorical", "categories": ("a", "b", "a")}, "duplicate categories"),
+                          ({"kind": "categorical", "range_width": 1.0}, "range_width given for categorical")]:
+        with pytest.raises(DataError, match=match):
+            AttributeSpec("x", **kwargs)
+    with pytest.raises(DataError, match="outcome labels must be unique"):
+        Schema((AttributeSpec("a", "categorical"),), ("A", "B", "A"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,6 +302,30 @@ def test_training_table_validates_cells():
         TrainingTable(schema, [(1.0,)], [5])
     with pytest.raises(DataError, match="empty table"):
         TrainingTable(schema, [], [])
+    with pytest.raises(DataError, match="disagree on entry count"):
+        TrainingTable(schema, [(1.0,), (2.0,)], [0])
+    with pytest.raises(DataError, match="entry 1 has 2 cells, schema has 1 attributes"):
+        TrainingTable(schema, [(1.0,), (2.0, 3.0)], [0, 0])
+    coded = Schema((AttributeSpec("c", "categorical", categories=("p", "q")),), ("x",))
+    with pytest.raises(DataError, match="entry 1, attribute 'c': expected a string, got int"):
+        TrainingTable(coded, [("p",), (1,)], [0, 0])
+    with pytest.raises(DataError, match="entry 1, attribute 'c': unknown category 'r'"):
+        TrainingTable(coded, [("p",), ("r",)], [0, 0])
+
+
+@pytest.mark.parametrize("cells, match", [
+    pytest.param(("red",), "query has 1 cells, schema has 2 attributes", id="short"),
+    pytest.param(("red", 1.5, "x"), "query has 3 cells, schema has 2 attributes", id="long"),
+    pytest.param((5, 1.5), "query attribute 'color': expected a string", id="number-category"),
+    pytest.param(("red", "1.5"), "query attribute 'size': expected a finite real", id="string-real"),
+    pytest.param(("red", float("inf")), "query attribute 'size': expected a finite real", id="infinite-real"),
+])
+@pytest.mark.parametrize("predictor", ["delanga", "rasturnat"])
+def test_a_hand_built_query_off_the_schema_is_refused(cells, match, predictor):
+    # validate_query types text cells; a Query built by hand meets encode_query's checks instead.
+    model = fit(load_table(CSV_MIXED), predictor, "bridge" if predictor == "rasturnat" else None)
+    with pytest.raises(DataError, match=match):
+        predict(model, Query(cells))
 
 
 def test_a_continuous_range_that_overflows_is_refused_without_a_warning(tmp_path, capsys):

@@ -143,6 +143,17 @@ class TestMakeSpec:
         pytest.param({"probs": ["a", 0.5]}, "masses must be arrays of numbers", id="string-mass"),
         pytest.param({"probs": [True, False]}, "masses must be arrays of numbers", id="boolean-masses"),
         pytest.param({"conditionals": [[1.0, 0.0], [0.0]]}, "masses must be arrays of numbers", id="ragged-masses"),
+        # numpy reads a boolean among floats as 1.0.
+        pytest.param({"probs": [True, 0.0], "conditionals": [[1, 0], [0, 1]]}, "masses must be arrays of numbers",
+                     id="boolean-among-float-masses"),
+        pytest.param({"conditionals": [[True, 0.0], [0.0, 1.0]]}, "masses must be arrays of numbers",
+                     id="boolean-among-float-conditionals"),
+        pytest.param({"probs": np.array([0.5, 0.25, 0.25])}, r"probs must have shape \(2,\)", id="long-probs"),
+        pytest.param({"conditionals": np.array([1.0, 0.0])}, r"conditionals must have shape \(2, 2\)",
+                     id="flat-conditionals"),
+        pytest.param({"probs": np.array([np.nan, 0.5])}, "masses must be finite", id="nan-mass"),
+        pytest.param({"conditionals": np.array([[np.inf, 0.0], [0.0, 1.0]])}, "masses must be finite",
+                     id="infinite-conditional"),
     ])
     def test_the_spec_refuses_what_it_used_to_coerce(self, changes, match):
         args = {"cardinalities": (2,), "labels": ("A", "B"), "seed": 1, "probs": np.array([0.5, 0.5]),
@@ -152,6 +163,7 @@ class TestMakeSpec:
 
     @pytest.mark.parametrize("distribution, conditionals, match", [
         pytest.param(5, {}, "'uniform' or a mapping", id="number-distribution"),
+        pytest.param("zipf", {}, "unknown distribution descriptor 'zipf'", id="unknown-descriptor"),
         pytest.param("uniform", 5, "conditionals are required, as a mapping", id="number-conditionals"),
         pytest.param("uniform", {("0", "0"): 5}, "must list 2 masses", id="number-conditional"),
         # The key "10" used to be read as the tuple ("1", "0").
@@ -629,10 +641,8 @@ def test_naive_oracle_neutral_density_is_identity():
     rng = np.random.default_rng(12)
     table, query = random_categorical_instance(rng)
     kernel = make_kernel("gauss", table.n_entries)
-    m = table.n_entries
-    neutral = DensityModel(
-        tss=np.ones(m), sts=float(m), stavg=1.0, dcf=np.ones(m)
-    )
+    neutral = DensityModel(table, np.ones(table._distinct_entry.size))
+    assert list(neutral.dcf) == [1.0] * table.n_entries
     a = naive_reference_predict(table, query, kernel)
     b = naive_reference_predict(table, query, kernel, neutral)
     assert a.scores == b.scores

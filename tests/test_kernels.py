@@ -199,6 +199,10 @@ class TestCertification:
         with pytest.raises(KernelError, match="n_entries must be a positive integer"):
             certify_lead(make_kernel("bridge", 4), n_entries)
 
+    def test_an_entry_count_past_the_float_range_is_refused(self):
+        with pytest.raises(KernelError, match="n_entries is too large to certify a lead for"):
+            certify_lead(make_kernel("bridge", 4), 10**400)
+
     def test_spliced_certified_at_its_own_lead(self):
         k = Kernel("spliced", 12.0, base=make_kernel("pow_2", 12))
         cert = certify_lead(k, 12)
@@ -264,6 +268,11 @@ class TestErrors:
         base = make_kernel("pow_2", 4)
         with pytest.raises(KernelError):
             Kernel("spliced", 1.0, base=base)
+
+    @pytest.mark.parametrize("base", [None, 5, "pow_2"], ids=repr)
+    def test_a_spliced_kernel_needs_a_kernel_as_its_base(self, base):
+        with pytest.raises(KernelError, match="spliced kernel needs a base kernel"):
+            Kernel("spliced", 4.0, base=base)
 
     def test_spliced_base_cannot_be_spliced(self):
         once = Kernel("spliced", 4.0, base=make_kernel("pow_2", 4))

@@ -17,14 +17,17 @@ from hypothesis import strategies as st
 from fieldpred import (
     KERNEL_KINDS,
     AttributeSpec,
+    DataError,
     DensityModel,
     FittedModel,
+    HarnessError,
     PredictorError,
     Query,
     Schema,
     TrainingTable,
     backtrack_tie_break,
     compute_density_model,
+    evaluate_accuracy,
     explain,
     fit,
     load_model,
@@ -246,7 +249,7 @@ class TestFit:
         with pytest.raises(PredictorError, match="unknown predictor"):
             FittedModel(table, "centroid")
         # Each pairing that no model file holds: the kernel goes with rasturnat
-        # alone, a density with a kernel, and the density is the table's own size.
+        # alone, a density with a kernel, and the density is the table's own.
         kernel = make_kernel("bridge", table.n_entries)
         density = compute_density_model(table, kernel)
         other = two_bit_table(THREE_ROWS[:2])
@@ -255,10 +258,37 @@ class TestFit:
             (table, "delanga", kernel, None, "the other predictors take none"),
             (table, "nearest", kernel, density, "the other predictors take none"),
             (table, "delanga", None, density, "a density goes only with a kernel"),
-            (other, "rasturnat", make_kernel("bridge", 2), density, "needs the tss and dcf of all 2 entries"),
+            (other, "rasturnat", make_kernel("bridge", 2), density, "only on the table it was fit to"),
         ]:
             with pytest.raises(PredictorError, match=match):
                 FittedModel(model_table, kind, kernel=model_kernel, density=model_density)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda table, model, query: FittedModel("x", "delanga"), PredictorError, id="model-of-no-table"),
+    pytest.param(lambda table, model, query: FittedModel(table, "rasturnat", kernel=5), PredictorError,
+                 id="kernel-without-evaluate"),
+    pytest.param(lambda table, model, query: FittedModel(table, "rasturnat", kernel=make_kernel("bridge", 3),
+                                                         density="x"), PredictorError, id="density-of-a-string"),
+    pytest.param(lambda table, model, query: DensityModel("x", [1.0]), PredictorError, id="density-of-no-table"),
+    pytest.param(lambda table, model, query: TrainingTable("x", [("a",)], [0]), DataError, id="table-of-no-schema"),
+    pytest.param(lambda table, model, query: Query(5), DataError, id="query-of-a-number"),
+    pytest.param(lambda table, model, query: Query("00"), DataError, id="query-of-a-string"),
+    pytest.param(lambda table, model, query: predict(model, "red"), PredictorError, id="predict-a-string"),
+    pytest.param(lambda table, model, query: explain(model, "red"), PredictorError, id="explain-a-string"),
+    pytest.param(lambda table, model, query: predict("m", query), PredictorError, id="predict-with-a-string"),
+    pytest.param(lambda table, model, query: explain("m", query), PredictorError, id="explain-with-a-string"),
+    pytest.param(lambda table, model, query: evaluate_accuracy(model, "x"), HarnessError, id="evaluate-on-a-string"),
+    pytest.param(lambda table, model, query: evaluate_accuracy("m", table), HarnessError,
+                 id="evaluate-with-a-string"),
+])
+def test_an_argument_of_the_wrong_object_type_raises_its_module_error(call, error):
+    # Duck-typed kernels stay: ScaledKernel, which is not a Kernel, has a callable evaluate.
+    table = two_bit_table(THREE_ROWS)
+    with pytest.raises(error):
+        call(table, fit(table, "delanga"), Query(("0", "0")))
+    assert predict(FittedModel(table, "rasturnat", kernel=ScaledKernel(make_kernel("bridge", 3), 2.0)),
+                   Query(("0", "0"))).winner == "A"
 
 
 class TestDensity:
@@ -296,13 +326,9 @@ class TestDensity:
         assert list(density.dcf) == [1.0, 1.0, 1.0]
 
     def test_density_model_validates_positivity(self):
+        table = two_bit_table([(("0", "0"), "A"), (("1", "1"), "B")])
         with pytest.raises(PredictorError):
-            DensityModel(
-                tss=np.array([1.0, -0.5]),
-                sts=0.5,
-                stavg=0.25,
-                dcf=np.array([0.25, -0.5]),
-            )
+            DensityModel(table, np.array([1.0, -0.5]))
 
     def test_density_changes_scores_not_validity(self):
         table = two_bit_table(THREE_ROWS + [(("0", "0"), "A")])
@@ -445,6 +471,54 @@ def test_density_aggregate_identity(seed):
     recovered = math.fsum(d * t for d, t in zip(density.dcf, density.tss))
     assert recovered == pytest.approx(density.sts, rel=1e-9)
     assert density.stavg == density.sts / table.n_entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(KERNEL_KINDS))
+def test_the_density_derives_its_fields_from_the_per_entry_totals(seed, mixed, kind):
+    # Each expected value is computed here in Python floats, apart from the
+    # constructor that both compute_density_model and reference_density_model end in.
+    table = (random_mixed_instance if mixed else random_categorical_instance)(np.random.default_rng(seed))[0]
+    m, rows = table.n_entries, table._distinct_of.tolist()
+    density = compute_density_model(table, make_kernel(kind, m))
+    tss, dcf = density.tss.tolist(), density.dcf.tolist()
+    assert len(tss) == len(dcf) == m
+    assert density.sts == math.fsum(tss)
+    assert density.stavg == density.sts / m
+    assert [x.hex() for x in dcf] == [(density.sts / (m * t)).hex() for t in tss]
+    first = {u: i for i, u in reversed(list(enumerate(rows)))}
+    for values, row_values in ((tss, density.row_tss.tolist()), (dcf, density.row_dcf.tolist())):
+        assert [values[i].hex() for i in range(m)] == [values[first[u]].hex() for u in rows]
+        assert [values[i].hex() for i in range(m)] == [row_values[u].hex() for u in rows]
+
+
+def test_a_density_is_read_only_and_keeps_no_view_of_its_argument():
+    table = two_bit_table(THREE_ROWS + [THREE_ROWS[0]])
+    row_tss = np.array([3.0, 2.0, 1.0])
+    density = DensityModel(table, row_tss)
+    row_tss[0] = -1.0
+    assert density.row_tss.tolist() == [3.0, 2.0, 1.0]
+    for name in ("row_tss", "row_dcf", "tss", "dcf"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(density, name)[0] = 1.0
+
+
+@pytest.mark.parametrize("row_tss, match", [
+    pytest.param([1.0, 2.0], "needs 3 numbers, one tss per distinct row", id="short"),
+    pytest.param([1.0, 2.0, 3.0, 4.0], "needs 3 numbers, one tss per distinct row", id="per-entry"),
+    pytest.param([[1.0], [2.0, 3.0], [4.0]], "needs 3 numbers", id="ragged"),
+    pytest.param(["1", "2", "3"], "needs 3 numbers", id="strings"),
+    pytest.param([True, True, True], "needs 3 numbers", id="booleans"),
+    pytest.param([1.0, math.inf, 1.0], "density field overflows", id="infinite"),
+    pytest.param([1.0, math.nan, 1.0], "density field overflows", id="nan"),
+    pytest.param([1e308, 1e308, 1.0], "density field overflows", id="sum-overflows"),
+    pytest.param([1.0, 0.0, 1.0], "must be positive and finite", id="zero"),
+    pytest.param([1.0, 5e-324, 1.0], "must be positive and finite", id="dcf-overflows"),
+])
+def test_a_density_refuses_a_field_it_cannot_derive(row_tss, match):
+    table = two_bit_table(THREE_ROWS + [THREE_ROWS[0]])
+    with pytest.raises(PredictorError, match=match):
+        DensityModel(table, row_tss)
 
 
 def random_repeated_table(rng: np.random.Generator, n_distinct: int) -> TrainingTable:
@@ -720,7 +794,8 @@ class TestModelFiles:
         fresh = fit(load_table(DATA / "mixed_train.csv"), *(args or ("rasturnat", "bridge")), density=density)
         if density:
             assert_close_density(loaded.density, fresh.density)
-            fresh = FittedModel(fresh.table, "rasturnat", kernel=fresh.kernel, density=loaded.density)
+            fresh = FittedModel(fresh.table, "rasturnat", kernel=fresh.kernel,
+                                density=DensityModel(fresh.table, loaded.density.row_tss))
         table = fresh.table
         order = np.lexsort((table._outcomes, table._distinct_of)) if canonical else range(table.n_entries)
         assert loaded.table.values == tuple(table.values[i] for i in order)

@@ -377,16 +377,13 @@ def reference_density_model(table: TrainingTable, kernel: Kernel) -> DensityMode
     """The density fit one distinct row at a time, each row's U terms summed
     by ``math.fsum``: the plain loop the strip fit must come within about one
     rounding per strip of."""
-    m = table.n_entries
     multiplicity = table._label_counts.sum(axis=1)
     row_tss = np.empty(multiplicity.size, dtype=np.float64)
     coded_rows = zip(*(column.tolist() for column in table._col_data))
     for u, row in enumerate(coded_rows):
         _, dm = match_encoded(row, table)
         row_tss[u] = math.fsum(kernel.evaluate(dm) * multiplicity)
-    tss = row_tss[table._distinct_of]
-    sts = math.fsum(tss)
-    return DensityModel(tss=tss, sts=sts, stavg=sts / m, dcf=sts / (m * tss))
+    return DensityModel(table, row_tss)
 
 
 #: Header used for the synthesized outcome column when a table is written
